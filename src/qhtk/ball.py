@@ -82,10 +82,17 @@ class DistanceField:
 
 
 def _worker_count():
-    try:
-        return max(1, int(os.environ.get("QH_THREADS", "1")))
-    except ValueError:
+    """Worker threads for field solves: QH_THREADS, at least 1 (default 1).
+
+    Raises InvalidInputError when QH_THREADS is set but is not an integer.
+    """
+    raw = os.environ.get("QH_THREADS", "").strip()
+    if not raw:
         return 1
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise InvalidInputError(f"QH_THREADS must be an integer, got {raw!r}") from None
 
 
 def distance_field(domain, center, window, resolution, s: SolverConfig = FIELD_SOLVER,

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__, cases
 from .ball import (
+    _worker_count,
     ball_contour,
     contour_tangent_gaps,
     cusp_free_check,
@@ -25,7 +26,7 @@ from .ball import (
     orthogonality_ratio,
     smoothness_profile,
 )
-from .geometry import QHError
+from .geometry import InvalidInputError, QHError
 from .io import (
     RunManifest,
     SchemaError,
@@ -91,7 +92,7 @@ def _emit(outdir, name, command, args_echo, config, seed, domain, outputs, t0):
         input_hash=spec_hash(domain) if domain is not None else "",
         outputs=sorted(outputs),
         wall_time_s=round(time.perf_counter() - t0, 3),
-        threads=int(os.environ.get("QH_THREADS", "1") or 1),
+        threads=_worker_count(),
     )
     write_manifest(os.path.join(outdir, f"{name}-manifest.json"), manifest)
 
@@ -504,6 +505,11 @@ def dispatch(argv):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_USAGE
+    try:
+        _worker_count()  # a malformed QH_THREADS is a usage error, before any output
+    except InvalidInputError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.command in ("dist", "geodesic"):
             return cmd_dist(args, want_path=args.command == "geodesic")

@@ -14,6 +14,7 @@ Every object is immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -89,8 +90,11 @@ class NormSpec:
             out = np.sqrt(np.sum(v * v, axis=-1))
         else:
             out = np.sum(np.abs(v) ** self.p, axis=-1) ** (1.0 / self.p)
+        zero = out == 0.0
+        if not zero.any():
+            return out
         vmax = np.max(np.abs(v), axis=-1)
-        bad = (out == 0.0) & (vmax > 0.0)
+        bad = zero & (vmax > 0.0)
         if np.any(bad):
             scaled = self.eval(v[bad] / vmax[bad, ..., None] if v.ndim > 1 else v / vmax)
             if v.ndim > 1:
@@ -128,9 +132,8 @@ def norm_eval(norm: NormSpec, v):
 # primitives (intersected to form the open set)
 # ---------------------------------------------------------------------------
 #
-# Each primitive answers, for an (N, dim) array of points, a "depth":
-# positive inside, <= 0 outside, and for interior points equal to the exact
-# ambient-norm distance to the primitive's boundary.
+# Primitives and removals are plain data.  ``DomainSpec`` lowers them once,
+# at construction, into the flat oracle kernels further below.
 
 @dataclass(frozen=True)
 class HalfSpace:
@@ -140,9 +143,9 @@ class HalfSpace:
     offset: float
     convex = True
 
-    def depth(self, X, norm):
-        n = np.asarray(self.normal, dtype=float)
-        return (X @ n - self.offset) / float(norm.dual_eval(n))
+    def __post_init__(self):
+        if not np.any(np.asarray(self.normal, dtype=float)):
+            raise InvalidInputError("half-space needs a nonzero normal")
 
 
 @dataclass(frozen=True)
@@ -152,10 +155,6 @@ class BallPrimitive:
     center: tuple
     radius: float
     convex = True
-
-    def depth(self, X, norm):
-        c = np.asarray(self.center, dtype=float)
-        return self.radius - norm.eval(X - c)
 
 
 @dataclass(frozen=True)
@@ -167,10 +166,6 @@ class Slab:
     upper: float
     convex = True
 
-    def depth(self, X, norm):
-        t = X[:, self.axis]
-        return np.minimum(t - self.lower, self.upper - t)
-
 
 @dataclass(frozen=True)
 class BoxPrimitive:
@@ -179,40 +174,6 @@ class BoxPrimitive:
     lower: tuple
     upper: tuple
     convex = True
-
-    def depth(self, X, norm):
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
-        return np.minimum(X - lo, hi - X).min(axis=1)
-
-
-def _segment_distance(X, a, b, norm):
-    """Distance from points X (N, d) to the closed segment [a, b].
-
-    Euclidean uses the closed-form projection; p-norms use a ternary search
-    on the convex map t -> ||X - (a + t (b-a))||.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = b - a
-    if norm.kind == "euclidean":
-        dd = float(d @ d)
-        if dd == 0.0:
-            return norm.eval(X - a)
-        t = np.clip(((X - a) @ d) / dd, 0.0, 1.0)
-        return np.sqrt(np.sum((X - (a + t[:, None] * d)) ** 2, axis=1))
-    lo = np.zeros(X.shape[0])
-    hi = np.ones(X.shape[0])
-    for _ in range(80):  # (2/3)^80 ~ 1e-14 bracket width
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        f1 = norm.eval(X - (a + m1[:, None] * d))
-        f2 = norm.eval(X - (a + m2[:, None] * d))
-        take = f1 < f2
-        hi = np.where(take, m2, hi)
-        lo = np.where(take, lo, m1)
-    t = 0.5 * (lo + hi)
-    return norm.eval(X - (a + t[:, None] * d))
 
 
 @dataclass(frozen=True)
@@ -228,32 +189,14 @@ class Polygon:
 
     @property
     def convex(self):
+        """All turns one way, and one full turn: a star polygon turns twice."""
         V = np.asarray(self.vertices, dtype=float)
         e = np.roll(V, -1, axis=0) - V
-        cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
-        return bool((cross >= -1e-14).all() or (cross <= 1e-14).all())
-
-    def _inside(self, X):
-        V = np.asarray(self.vertices, dtype=float)
-        inside = np.zeros(X.shape[0], dtype=bool)
-        x, y = X[:, 0], X[:, 1]
-        n = V.shape[0]
-        for i in range(n):  # even-odd crossing rule
-            x1, y1 = V[i]
-            x2, y2 = V[(i + 1) % n]
-            crosses = (y1 > y) != (y2 > y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            inside ^= crosses & (x < np.where(crosses, xint, np.inf))
-        return inside
-
-    def depth(self, X, norm):
-        V = np.asarray(self.vertices, dtype=float)
-        n = V.shape[0]
-        dist = np.full(X.shape[0], np.inf)
-        for i in range(n):
-            dist = np.minimum(dist, _segment_distance(X, V[i], V[(i + 1) % n], norm))
-        return np.where(self._inside(X), dist, -dist)
+        f = np.roll(e, -1, axis=0)
+        cross = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
+        one_way = (cross >= -1e-14).all() or (cross <= 1e-14).all()
+        turning = np.arctan2(cross, (e * f).sum(axis=1)).sum()
+        return bool(one_way and abs(abs(turning) - 2.0 * np.pi) < 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +207,11 @@ class Polygon:
 class RemovedPoint:
     point: tuple
 
-    def distance(self, X, norm):
-        return norm.eval(X - np.asarray(self.point, dtype=float))
-
 
 @dataclass(frozen=True)
 class RemovedSegment:
     a: tuple
     b: tuple
-
-    def distance(self, X, norm):
-        return _segment_distance(X, self.a, self.b, norm)
 
 
 @dataclass(frozen=True)
@@ -313,6 +250,217 @@ class AxisPointFamily:
 
 
 # ---------------------------------------------------------------------------
+# oracle kernels
+# ---------------------------------------------------------------------------
+#
+# Each kernel maps an (N, dim) point array to a fresh (N,) array: positive
+# inside, <= 0 outside, and for interior points the exact ambient-norm
+# distance to its part of the boundary.  A domain's depth is the minimum
+# over its kernels.
+
+def _axis_face_depth(X, faces):
+    """Faces with a coordinate normal, ((axis, is_lower, bound), ...).
+
+    One column per face, minimised in place into one buffer: a narrow
+    ``min(axis=1)`` over an (N, k) array costs more than the arithmetic.
+    Exact in any p-norm.
+    """
+    (j, is_lower, bound), *rest = faces
+    d = X[:, j] - bound if is_lower else bound - X[:, j]
+    v = np.empty_like(d)
+    for j, is_lower, bound in rest:
+        if is_lower:
+            np.subtract(X[:, j], bound, out=v)
+        else:
+            np.subtract(bound, X[:, j], out=v)
+        np.minimum(d, v, out=d)
+    return d
+
+
+def _face_depth(X, normals, offsets):
+    """Oblique faces {n . x > c} with dual-normalised rows (||n||_* = 1), so
+    n . x - c is the ambient-norm distance to the face's hyperplane."""
+    d = X @ normals[0]
+    d -= offsets[0]
+    v = np.empty_like(d)
+    for n, c in zip(normals[1:], offsets[1:]):
+        np.dot(X, n, out=v)
+        v -= c
+        np.minimum(d, v, out=d)
+    return d
+
+
+def _ball_depth(X, center, radius, norm):
+    return radius - norm.eval(X - center)
+
+
+class _SegmentSet:
+    """Closed segments [a, b] as one kernel: the edges of non-convex polygons,
+    removed segments, and removed points as zero-length segments.
+
+    The value is the distance to the nearest segment, negated outside any of
+    the polygons (even-odd crossing rule).  Euclidean distances use the
+    clamped projection on (dim, K, block) arrays; p-norms keep the exact
+    closed forms.  Points go through in blocks so the temporaries stay in
+    cache.
+    """
+
+    BLOCK = 1 << 15  # elements of one (K, block) temporary, so the (dim, K, block) ones fit in L2
+
+    def __init__(self, starts, ends, polygon_sizes, norm):
+        A = np.asarray(starts, dtype=float)
+        B = np.asarray(ends, dtype=float)
+        D = B - A
+        DD = (D * D).sum(axis=1)
+        self.norm = norm
+        self.A = A.T[:, :, None]  # (dim, K, 1)
+        self.D = D.T[:, :, None] if DD.any() else None
+        self.DD = np.maximum(DD, 1e-300)[:, None]
+        self.block = max(16, self.BLOCK // A.shape[0])
+        if norm.kind != "euclidean":
+            has_length = DD > 0.0
+            self.points = A[~has_length, None, :]
+            self.segments = A[has_length, None, :], D[has_length, None, :]
+        bounds = np.cumsum([0] + list(polygon_sizes))
+        self.polygons = tuple(zip(bounds[:-1], bounds[1:]))
+        if self.polygons:
+            E = bounds[-1]
+            dy = D[:E, 1]
+            # horizontal edges never cross; a unit divisor keeps them finite
+            self.crossing = tuple(c[:, None] for c in (
+                B[:E, 1], A[:E, 0], D[:E, 0], np.where(dy == 0.0, 1.0, dy)))
+
+    def __call__(self, X):
+        n, b = X.shape[0], self.block
+        if n <= b:
+            return self._values(X)
+        out = np.empty(n)
+        for s in range(0, n, b):
+            out[s:s + b] = self._values(X[s:s + b])
+        return out
+
+    def _values(self, X):
+        P = np.ascontiguousarray(X.T)  # (dim, b)
+        dist = self._euclidean(P) if self.norm.kind == "euclidean" else self._pnorm(X)
+        if self.polygons:
+            np.negative(dist, out=dist, where=~self._inside(P))
+        return dist
+
+    def _euclidean(self, P):
+        G = P[:, None, :] - self.A  # (dim, K, b)
+        if self.D is not None:  # some segment has length
+            t = np.add.reduce(G * self.D, axis=0)
+            t /= self.DD
+            np.maximum(t, 0.0, out=t)
+            np.minimum(t, 1.0, out=t)
+            G -= t * self.D
+        G *= G
+        return np.sqrt(np.add.reduce(G, axis=0).min(axis=0))
+
+    def _pnorm(self, X):
+        """Norm of X - p for points; for segments a ternary search on the
+        convex map t -> ||X - (a + t (b - a))||, (2/3)^80 ~ 1e-14 bracket width."""
+        norm = self.norm
+        dist = norm.eval(X - self.points).min(axis=0, initial=np.inf)
+        A, D = self.segments
+        lo = np.zeros((A.shape[0], X.shape[0]))
+        hi = np.ones_like(lo)
+        for _ in range(80 if A.size else 0):
+            m1 = lo + (hi - lo) / 3.0
+            m2 = hi - (hi - lo) / 3.0
+            f1 = norm.eval(X - (A + m1[..., None] * D))
+            f2 = norm.eval(X - (A + m2[..., None] * D))
+            take = f1 < f2
+            hi = np.where(take, m2, hi)
+            lo = np.where(take, lo, m1)
+        t = 0.5 * (lo + hi)
+        return np.minimum(dist, norm.eval(X - (A + t[..., None] * D)).min(axis=0, initial=np.inf))
+
+    def _inside(self, P):
+        x, y = P[0], P[1]
+        y2, x1, dx, dy = self.crossing
+        xint = y - self.A[1, :dx.shape[0]]
+        crosses = (xint < 0.0) != (y2 > y)
+        xint *= dx
+        xint /= dy
+        xint += x1
+        hit = x < xint
+        hit &= crosses
+        inside = None
+        for lo, hi in self.polygons:
+            odd = np.logical_xor.reduce(hit[lo:hi], axis=0)
+            inside = odd if inside is None else inside & odd
+        return inside
+
+
+def _lower(primitives, removals, norm):
+    """Compile primitives and removals into the domain's oracle kernels.
+
+    Half-spaces, slabs, box faces and convex polygon edges become the face
+    table: rows with a coordinate normal are evaluated per column, the
+    others per row.  Non-convex polygon edges, removed segments and removed
+    points become one segment set.  Balls and removals with no kernel here
+    (the axis point family) keep their exact closed forms.
+    """
+    axis_faces, normals, offsets, kernels = [], [], [], []
+    starts, ends, polygon_sizes = [], [], []
+
+    def face(n, c):
+        n = np.asarray(n, dtype=float)
+        nz = np.flatnonzero(n)
+        if nz.size == 1:
+            j = int(nz[0])
+            axis_faces.append((j, bool(n[j] > 0.0), c / n[j]))
+        else:
+            s = float(norm.dual_eval(n))
+            normals.append(n / s)
+            offsets.append(c / s)
+
+    for p in primitives:
+        if isinstance(p, HalfSpace):
+            face(p.normal, p.offset)
+        elif isinstance(p, Slab):
+            axis_faces += [(p.axis, True, p.lower), (p.axis, False, p.upper)]
+        elif isinstance(p, BoxPrimitive):
+            for j, (lo, hi) in enumerate(zip(p.lower, p.upper)):
+                axis_faces += [(j, True, lo), (j, False, hi)]
+        elif isinstance(p, BallPrimitive):
+            kernels.append(partial(_ball_depth, center=np.asarray(p.center, dtype=float),
+                                   radius=p.radius, norm=norm))
+        elif isinstance(p, Polygon):
+            V = np.asarray(p.vertices, dtype=float)
+            W = np.roll(V, -1, axis=0)
+            if p.convex:
+                ccw = np.sum(V[:, 0] * W[:, 1] - W[:, 0] * V[:, 1]) >= 0.0
+                for v, e in zip(V, W - V):
+                    n = np.array([-e[1], e[0]]) if ccw else np.array([e[1], -e[0]])
+                    if n.any():  # repeated vertices add no edge
+                        face(n, float(n @ v))
+            else:
+                starts += list(V)
+                ends += list(W)
+                polygon_sizes.append(len(V))
+        else:
+            raise InvalidInputError(f"unknown primitive {type(p).__name__}")
+    if axis_faces:
+        kernels.append(partial(_axis_face_depth, faces=tuple(axis_faces)))
+    if normals:
+        kernels.append(partial(_face_depth, normals=tuple(normals), offsets=tuple(offsets)))
+    for r in removals:
+        if isinstance(r, RemovedPoint):
+            starts.append(r.point)
+            ends.append(r.point)
+        elif isinstance(r, RemovedSegment):
+            starts.append(r.a)
+            ends.append(r.b)
+        else:
+            kernels.append(partial(r.distance, norm=norm))
+    if starts:
+        kernels.append(_SegmentSet(starts, ends, polygon_sizes, norm))
+    return tuple(kernels)
+
+
+# ---------------------------------------------------------------------------
 # domains
 # ---------------------------------------------------------------------------
 
@@ -322,7 +470,9 @@ class DomainSpec:
 
     ``depth_many`` returns exact boundary distances for interior points and
     non-positive values outside (usable as an inside mask); the public
-    ``boundary_distance`` validates interiority and raises otherwise.
+    ``boundary_distance`` validates interiority and raises otherwise.  The
+    primitives and removals are compiled into flat kernels once, here, and
+    every oracle evaluation goes through ``depth_many``.
     """
 
     dimension: int
@@ -336,30 +486,7 @@ class DomainSpec:
             raise InvalidInputError("domains need dimension >= 2")
         if not self.primitives and not self.removals:
             raise InvalidInputError("domain must have a non-empty boundary")
-        # batch homogeneous removals once; they dominate the oracle cost
-        pts = [r.point for r in self.removals if type(r) is RemovedPoint]
-        segs = [(r.a, r.b) for r in self.removals if type(r) is RemovedSegment]
-        euclid = self.norm.kind == "euclidean"
-        object.__setattr__(
-            self, "_pts", np.asarray(pts, dtype=float) if (pts and euclid) else None
-        )
-        if segs and euclid:
-            A = np.asarray([s[0] for s in segs], dtype=float)
-            B = np.asarray([s[1] for s in segs], dtype=float)
-            D = B - A
-            object.__setattr__(self, "_segA", A)
-            object.__setattr__(self, "_segD", D)
-            object.__setattr__(self, "_segDD", np.maximum((D * D).sum(axis=1), 1e-300))
-        else:
-            object.__setattr__(self, "_segA", None)
-        object.__setattr__(
-            self,
-            "_slow_removals",
-            tuple(
-                r for r in self.removals
-                if not (euclid and type(r) in (RemovedPoint, RemovedSegment))
-            ),
-        )
+        object.__setattr__(self, "_kernels", _lower(self.primitives, self.removals, self.norm))
 
     @property
     def is_convex(self):
@@ -367,22 +494,10 @@ class DomainSpec:
 
     def depth_many(self, X):
         X, _ = _as_points(X, self.dimension)
-        d = np.full(X.shape[0], np.inf)
-        for p in self.primitives:
-            d = np.minimum(d, p.depth(X, self.norm))
-        if self._pts is not None:
-            diff = X[:, None, :] - self._pts[None, :, :]
-            d2 = np.einsum("nkd,nkd->nk", diff, diff).min(axis=1)
-            d = np.minimum(d, np.sqrt(d2))
-        if self._segA is not None:
-            diff = X[:, None, :] - self._segA[None, :, :]
-            t = np.einsum("nkd,kd->nk", diff, self._segD) / self._segDD
-            np.clip(t, 0.0, 1.0, out=t)
-            gap = diff - t[:, :, None] * self._segD[None, :, :]
-            d2 = np.einsum("nkd,nkd->nk", gap, gap).min(axis=1)
-            d = np.minimum(d, np.sqrt(d2))
-        for r in self._slow_removals:
-            d = np.minimum(d, r.distance(X, self.norm))
+        first, *rest = self._kernels
+        d = first(X)
+        for kernel in rest:
+            np.minimum(d, kernel(X), out=d)
         return d
 
     def contains_many(self, X):

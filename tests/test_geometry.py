@@ -1,13 +1,25 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qhtk.geometry import (
+    AxisPointFamily,
+    BallPrimitive,
+    BoxPrimitive,
     CertificationError,
+    DomainSpec,
     DomainViolationError,
+    HalfSpace,
     InvalidInputError,
     NormSpec,
+    Polygon,
     Polyline,
+    RemovedPoint,
+    RemovedSegment,
+    Slab,
     StarlikeDomain3D,
     certify_segment,
     half_plane,
@@ -21,6 +33,7 @@ from qhtk.geometry import (
     unit_ball,
 )
 from qhtk.cases import build_omega_n
+from qhtk.io import resolve_domain
 
 SQRT3 = np.sqrt(3.0)
 
@@ -178,6 +191,197 @@ def test_constructed_near_removal_distance():
     dom = punctured_space()
     delta = 1e-7
     assert dom.boundary_distance([delta, 0.0]) <= delta + 1e-12
+
+
+# --- the compiled oracle against per-primitive reference formulas ------------
+#
+# The reference evaluates every primitive and removal on its own, with the
+# closed forms the oracle had before it was compiled into kernels.
+
+def _ref_segment_distance(X, a, b, norm):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    d = b - a
+    if norm.kind == "euclidean":
+        dd = float(d @ d)
+        if dd == 0.0:
+            return norm.eval(X - a)
+        t = np.clip(((X - a) @ d) / dd, 0.0, 1.0)
+        return np.sqrt(np.sum((X - (a + t[:, None] * d)) ** 2, axis=1))
+    lo = np.zeros(X.shape[0])
+    hi = np.ones(X.shape[0])
+    for _ in range(80):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        f1 = norm.eval(X - (a + m1[:, None] * d))
+        f2 = norm.eval(X - (a + m2[:, None] * d))
+        take = f1 < f2
+        hi = np.where(take, m2, hi)
+        lo = np.where(take, lo, m1)
+    t = 0.5 * (lo + hi)
+    return norm.eval(X - (a + t[:, None] * d))
+
+
+def _ref_polygon_depth(vertices, X, norm):
+    V = np.asarray(vertices, dtype=float)
+    n = V.shape[0]
+    dist = np.full(X.shape[0], np.inf)
+    inside = np.zeros(X.shape[0], dtype=bool)
+    x, y = X[:, 0], X[:, 1]
+    for i in range(n):
+        dist = np.minimum(dist, _ref_segment_distance(X, V[i], V[(i + 1) % n], norm))
+        (x1, y1), (x2, y2) = V[i], V[(i + 1) % n]
+        crosses = (y1 > y) != (y2 > y)  # even-odd crossing rule
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= crosses & (x < np.where(crosses, xint, np.inf))
+    return np.where(inside, dist, -dist)
+
+
+def reference_depth(domain, X):
+    norm = domain.norm
+    d = np.full(X.shape[0], np.inf)
+    for p in domain.primitives:
+        if isinstance(p, HalfSpace):
+            n = np.asarray(p.normal, dtype=float)
+            v = (X @ n - p.offset) / float(norm.dual_eval(n))
+        elif isinstance(p, BallPrimitive):
+            v = p.radius - norm.eval(X - np.asarray(p.center, dtype=float))
+        elif isinstance(p, Slab):
+            t = X[:, p.axis]
+            v = np.minimum(t - p.lower, p.upper - t)
+        elif isinstance(p, BoxPrimitive):
+            lo = np.asarray(p.lower, dtype=float)
+            hi = np.asarray(p.upper, dtype=float)
+            v = np.minimum(X - lo, hi - X).min(axis=1)
+        else:
+            v = _ref_polygon_depth(p.vertices, X, norm)
+        d = np.minimum(d, v)
+    for r in domain.removals:
+        if isinstance(r, RemovedPoint):
+            v = norm.eval(X - np.asarray(r.point, dtype=float))
+        elif isinstance(r, RemovedSegment):
+            v = _ref_segment_distance(X, r.a, r.b, norm)
+        else:
+            v = r.distance(X, norm)
+        d = np.minimum(d, v)
+    return d
+
+
+P4 = NormSpec("p", 4.0)
+PRESET_NAMES = ("half-plane", "punctured-plane", "strip", "slab3d", "unit-ball", "box",
+                "polygon-P", "omega-n:3", "omega-n:5", "l2-section:3")
+FILE_SPECS = {
+    "convex-hexagon": {
+        "dimension": 2,
+        "primitives": [
+            {"type": "polygon", "vertices": [[1.0, 0.0], [0.5, 0.9], [-0.5, 0.9],
+                                             [-1.0, 0.0], [-0.5, -0.9], [0.5, -0.9]]},
+            {"type": "half-space", "normal": [1.0, 2.0], "offset": -1.5},
+        ],
+        "removals": [{"type": "segment", "a": [-0.3, -0.2], "b": [0.4, 0.3]},
+                     {"type": "point", "point": [0.1, -0.5]}],
+    },
+    "clockwise-notch": {
+        "dimension": 2,
+        "primitives": [
+            {"type": "polygon", "vertices": [[-2.0, -1.0], [-2.0, 1.5], [0.0, 0.2],
+                                             [2.0, 1.5], [2.0, -1.0]]},
+            {"type": "ball", "center": [0.0, 0.0], "radius": 2.2},
+        ],
+        "removals": [{"type": "segment", "a": [-1.0, -0.5], "b": [1.0, 0.4]}],
+    },
+    "clockwise-triangle": {
+        "dimension": 2,
+        "primitives": [
+            {"type": "polygon", "vertices": [[-1.0, -0.8], [0.2, 1.3], [1.4, -0.6]]},
+        ],
+        "removals": [{"type": "point", "point": [0.2, 0.0]}],
+    },
+    "box-3d": {
+        "dimension": 3,
+        "primitives": [
+            {"type": "box", "lower": [-1.0, -1.0, -1.0], "upper": [1.0, 1.0, 2.0]},
+            {"type": "half-space", "normal": [1.0, 1.0, 1.0], "offset": -1.0},
+            {"type": "slab", "axis": 2, "lower": -0.5, "upper": 1.5},
+        ],
+        "removals": [{"type": "segment", "a": [0.0, 0.0, 0.0], "b": [0.5, 0.2, 0.9]},
+                     {"type": "point", "point": [-0.5, 0.5, 0.0]}],
+    },
+}
+
+
+def _p4(doc):
+    return dict(doc, norm={"kind": "p", "p": 4})
+
+
+@pytest.fixture(scope="module")
+def oracle_domains(tmp_path_factory):
+    doms = {name: resolve_domain(name) for name in PRESET_NAMES}
+    doms.update({
+        f"{name}/p4": DomainSpec(d.dimension, d.primitives, d.removals, norm=P4)
+        for name, d in list(doms.items())
+        if not any(isinstance(r, AxisPointFamily) for r in d.removals)
+    })
+    folder = tmp_path_factory.mktemp("specs")
+    for name, doc in FILE_SPECS.items():
+        for tag, spec in ((name, doc), (f"{name}/p4", _p4(doc))):
+            path = folder / (tag.replace("/", "-") + ".json")
+            path.write_text(json.dumps(spec))
+            doms["@" + tag] = resolve_domain("@" + str(path))
+    return doms
+
+
+def _window(domain):
+    lo, hi = domain.window_hint()
+    lo = np.array([-3.0 if b is None else b for b in lo]) - 0.5
+    hi = np.array([3.0 if b is None else b for b in hi]) + 0.5
+    return lo, hi
+
+
+def test_file_specs_cover_both_polygon_kernels(oracle_domains):
+    assert oracle_domains["@convex-hexagon"].primitives[0].convex
+    assert oracle_domains["@clockwise-triangle"].primitives[0].convex
+    assert not oracle_domains["@clockwise-notch"].primitives[0].convex
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_oracle_matches_reference_formulas(oracle_domains, data):
+    name = data.draw(st.sampled_from(sorted(oracle_domains)), label="domain")
+    domain = oracle_domains[name]
+    u = data.draw(arrays(float, (24, domain.dimension), elements=st.floats(0.0, 1.0)))
+    lo, hi = _window(domain)
+    X = lo + u * (hi - lo)
+    got = domain.depth_many(X)
+    ref = reference_depth(domain, X)
+    # a closed form rounds at the scale of the coordinates, so membership is
+    # compared away from that rounding band and values relative to max(d, 1)
+    far = np.abs(ref) > 1e-12 * (1.0 + np.abs(X).max())
+    assert np.array_equal((got > 0.0)[far], (ref > 0.0)[far])
+    inside = far & (ref > 0.0)
+    assert (np.abs(got - ref)[inside] <= 1e-14 * np.maximum(ref[inside], 1.0)).all()
+
+
+@pytest.mark.parametrize("name", ["half-plane", "strip", "unit-ball", "box",
+                                  "punctured-plane", "omega-n:3"])
+def test_oracle_bit_identical_on_reference_presets(name):
+    domain = resolve_domain(name)
+    lo, hi = _window(domain)
+    X = np.random.default_rng(3).uniform(lo, hi, size=(20000, domain.dimension))
+    X[:8] = np.round(X[:8])  # lattice points: exact ties and zeros
+    assert np.array_equal(domain.depth_many(X), reference_depth(domain, X))
+
+
+def test_star_polygon_is_not_convex():
+    star = [(np.cos(a), np.sin(a)) for a in 4 * np.pi / 5 * np.arange(5)]
+    assert not Polygon(tuple(star)).convex
+    assert Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))).convex
+
+
+def test_half_space_rejects_zero_normal():
+    with pytest.raises(InvalidInputError):
+        HalfSpace((0.0, 0.0), 1.0)
 
 
 # --- the countable axis family ----------------------------------------------

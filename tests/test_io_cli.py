@@ -152,3 +152,20 @@ def test_cli_outputs_byte_identical(tmp_path):
     b1 = (d1 / "dist.json").read_bytes()
     b2 = (d2 / "dist.json").read_bytes()
     assert b1 == b2
+
+
+def test_cli_malformed_threads_is_usage_error_before_output(tmp_path, monkeypatch):
+    monkeypatch.setenv("QH_THREADS", "abc")
+    out = tmp_path / "out"
+    rc = dispatch(["dist", "--domain", "strip", "--from", "0,0", "--to", "1,0",
+                   "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_cli_manifest_records_effective_threads(tmp_path, monkeypatch):
+    monkeypatch.setenv("QH_THREADS", "0")
+    rc = dispatch(["dist", "--domain", "strip", "--from", "0,0", "--to", "1,0",
+                   "--out", str(tmp_path)])
+    assert rc == EXIT_PASS
+    assert json.load(open(tmp_path / "dist-manifest.json"))["threads"] == 1
