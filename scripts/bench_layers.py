@@ -1,33 +1,53 @@
 #!/usr/bin/env python3
-"""Time the boundary-distance oracle per preset domain and write BENCH_2.json.
+"""Time the oracle and the descent kernels per preset domain into BENCH_3.json.
 
 For each preset, ``DomainSpec.depth_many`` (``depth_many`` of the star-like
 set) is timed on N = 49 points, the median point count of a single-path
 solver call, and on N = 100,000 points, a large field batch.  Points are
 drawn uniformly from the domain's window (unbounded sides at +-3), so
-some lie outside; the oracle does the same work there.  Each figure is
-the minimum over rounds of the mean time per call (about 0.2 s of calls
-per round), in ns per point; every round sweeps all cases.
+some lie outside; the oracle does the same work there.
+
+The descent kernels are timed on straight paths inside the domain: one
+objective (fixed-node length), one finite-difference gradient and one
+relax sweep, for one path of 49 vertices (a single solve's final level)
+and for 600 paths of 17 vertices (a field batch).  The 600-path rows are
+taken on the planar presets only: a relax sweep over 600 paths in 3-D
+builds about 0.3 GB of candidate nodes, and no batch caller works in 3-D.
+
+Each figure is the minimum over rounds of the mean time per call (about
+0.2 s of calls per round); every round sweeps all cases.  The rows go
+under ``--label`` in the output file, next to the rows of other labels
+already there, so one file holds a before and an after run on the same
+machine.  The relax kernel is called by parameter name, so the script
+also runs against a tree whose relax kernel does not take segment values.
 
 Usage:
-    PYTHONPATH=src python3 scripts/bench_layers.py [--out BENCH_2.json] [--repeat 7]
+    PYTHONPATH=src python3 scripts/bench_layers.py [--label change]
+        [--out BENCH_3.json] [--repeat 7]
 """
 
 import argparse
+import hashlib
+import inspect
 import json
 import os
 import platform
 import subprocess
 import time
+from pathlib import Path
 
 import numpy as np
 import scipy
 
+import qhtk
+from qhtk import batch
 from qhtk.io import resolve_domain
+from qhtk.solver import DEFAULT_SOLVER
 
 PRESETS = ("half-plane", "strip", "slab3d", "unit-ball", "box", "punctured-plane",
            "polygon-P", "omega-n:3", "omega-n:5", "l2-section:6", "starlike3d")
 SIZES = (49, 100_000)
+PATHS = ((1, 49), (600, 17))  # (paths, vertices per path)
 
 
 def machine_facts():
@@ -38,15 +58,18 @@ def machine_facts():
                           if line.startswith("model name")), None)
     except OSError:
         pass
+    src = Path(qhtk.__file__).resolve().parent
     commit = None
     try:
         proc = subprocess.run(["git", "rev-parse", "--verify", "HEAD"], capture_output=True,
-                              text=True, timeout=10,
-                              cwd=os.path.dirname(os.path.abspath(__file__)))
+                              text=True, timeout=10, cwd=src)
         if proc.returncode == 0:
             commit = proc.stdout.strip() or None
     except (OSError, subprocess.SubprocessError):
         pass
+    digest = hashlib.sha256()
+    for f in sorted(src.glob("*.py")):
+        digest.update(f.name.encode() + f.read_bytes())
     return {
         "nproc": len(os.sched_getaffinity(0)),
         "cpu_model": model,
@@ -54,6 +77,7 @@ def machine_facts():
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "commit": commit,
+        "qhtk_sha256": digest.hexdigest()[:16],
     }
 
 
@@ -64,49 +88,94 @@ def sample_points(domain, n, rng):
     return rng.uniform(lo, hi, size=(n, domain.dimension))
 
 
-def calls_per_sample(domain, X):
+def inside_paths(domain, count, vertices, rng):
+    """Straight paths from interior points, each shorter than its start's
+    boundary distance, so every path lies inside the domain."""
+    starts = np.empty((0, domain.dimension))
+    while starts.shape[0] < count:
+        X = sample_points(domain, 4 * count, rng)
+        starts = np.concatenate([starts, X[domain.depth_many(X) > 0.05]])
+    starts = starts[:count]
+    u = rng.normal(size=starts.shape)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    ends = starts + 0.8 * domain.depth_many(starts)[:, None] * u
+    t = np.linspace(0.0, 1.0, vertices)
+    return starts[:, None, :] + t[None, :, None] * (ends - starts)[:, None, :]
+
+
+def kernel_calls(domain, Vs):
+    """Zero-argument callables for the three descent kernels on Vs."""
+    _, vals = batch._batch_objective(domain, Vs)
+    relax_params = inspect.signature(batch._batch_relax).parameters
+
+    def relax_sweep():
+        kw = {"domain": domain, "Vs": Vs.copy(), "vals": vals.copy(),
+              "active": np.ones(Vs.shape[0], dtype=bool),
+              "ref": DEFAULT_SOLVER.refinement, "sweeps": 1}
+        batch._batch_relax(**{k: v for k, v in kw.items() if k in relax_params})
+
+    return {
+        "objective": lambda: batch._batch_objective(domain, Vs),
+        "gradient": lambda: batch._batch_gradient(domain, Vs, vals),
+        "relax_sweep": relax_sweep,
+    }
+
+
+def calls_per_sample(fn):
     """Calls that take about 0.2 s, at least one."""
     t0 = time.perf_counter()
-    domain.depth_many(X)
+    fn()
     return max(1, int(0.2 / max(time.perf_counter() - t0, 1e-7)))
 
 
-def time_per_call(domain, X, calls):
+def time_per_call(fn, calls):
     t0 = time.perf_counter()
     for _ in range(calls):
-        domain.depth_many(X)
+        fn()
     return (time.perf_counter() - t0) / calls
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="BENCH_2.json")
+    ap.add_argument("--out", default="BENCH_3.json")
+    ap.add_argument("--label", default="change", help="key of this run's rows in the file")
     ap.add_argument("--repeat", type=int, default=7, help="rounds over all cases")
     args = ap.parse_args()
     rng = np.random.default_rng(2)
-    cases = []
+    cases = []  # (preset, size, key, function, calls, divisor)
     for name in PRESETS:
         domain = resolve_domain(name)
         for n in SIZES:
             X = sample_points(domain, n, rng)
-            cases.append((name, f"N={n}", domain, X, calls_per_sample(domain, X)))
+            fn = lambda d=domain, X=X: d.depth_many(X)  # noqa: E731
+            cases.append((name, f"N={n}", "depth_many_ns_per_point", fn, calls_per_sample(fn), n))
+        for paths, vertices in PATHS:
+            if paths > 1 and domain.dimension != 2:
+                continue
+            Vs = inside_paths(domain, paths, vertices, rng)
+            for key, fn in kernel_calls(domain, Vs).items():
+                cases.append((name, f"P={paths},m={vertices}", key + "_us",
+                              fn, calls_per_sample(fn), 1e3))
     # rounds sweep every case, so a slow spell of the machine hits all alike
     best = {}
     for _ in range(args.repeat):
-        for name, size, domain, X, calls in cases:
-            t = time_per_call(domain, X, calls)
-            best[name, size] = min(best.get((name, size), np.inf), t)
+        for name, size, key, fn, calls, _ in cases:
+            t = time_per_call(fn, calls)
+            best[name, size, key] = min(best.get((name, size, key), np.inf), t)
     rows = {name: {} for name in PRESETS}
-    for name, size, _, X, _ in cases:
-        rows[name][size] = round(1e9 * best[name, size] / X.shape[0], 1)
+    for name, size, key, _, _, div in cases:
+        rows[name].setdefault(size, {})[key] = round(1e9 * best[name, size, key] / div, 1)
     for name in PRESETS:
         print(name, rows[name])
-    doc = {
-        "layer": "geometry.depth_many",
-        "unit": "ns per point",
-        "statistic": f"minimum over {args.repeat} rounds of the mean per call",
+    doc = {}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as f:
+            doc = json.load(f)
+    doc["statistic"] = "minimum over rounds of the mean per call"
+    doc.setdefault("runs", {})[args.label] = {
+        "repeat": args.repeat,
         "machine": machine_facts(),
-        "depth_many": rows,
+        "rows": rows,
     }
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)

@@ -38,7 +38,6 @@ from .metric import (
     qh_path_length,
 )
 from .solver import (
-    CenterEvaluator,
     DEFAULT_SOLVER,
     GeodesicResult,
     NoPathError,

@@ -18,7 +18,6 @@ import numpy as np
 from .batch import solve_batch
 from .geometry import InvalidInputError, QHError
 from .solver import (
-    CenterEvaluator,
     DEFAULT_SOLVER,
     RefinementConfig,
     SolverConfig,
@@ -154,20 +153,6 @@ class BallContour:
     loops: list  # list of (k, 2) arrays, implicitly closed (last -> first)
     h: float
     meta: dict = dfield(default_factory=dict)
-
-    def perimeter_points(self, spacing=None):
-        out = []
-        for L in self.loops:
-            closed = np.vstack([L, L[:1]])
-            seg = np.sqrt(((closed[1:] - closed[:-1]) ** 2).sum(axis=1))
-            total = seg.sum()
-            n = max(8, int(np.ceil(total / (spacing or self.h))))
-            t = np.linspace(0.0, total, n, endpoint=False)
-            cum = np.concatenate([[0.0], np.cumsum(seg)])
-            px = np.interp(t, cum, closed[:, 0])
-            py = np.interp(t, cum, closed[:, 1])
-            out.append(np.stack([px, py], axis=1))
-        return np.concatenate(out) if out else np.zeros((0, 2))
 
 
 def _loop_area(L):
@@ -452,33 +437,6 @@ def directional_radii(domain, center, dirs, level, s: SolverConfig = None,
     with np.errstate(invalid="ignore", divide="ignore"):
         out = (lo * fhi - hi * flo) / (fhi - flo)
     return np.where(np.isfinite(out), np.clip(out, lo, hi), 0.5 * (lo + hi))
-
-
-def directional_radius(domain, center, direction, level,
-                       evaluator: CenterEvaluator, lo=None, hi=None, rel_tol=1e-6):
-    """Radius s with k(center, center + s u) = level, by bisection.
-
-    Monotone because centered quasihyperbolic balls in convex domains are
-    star-shaped about their center.
-    """
-    u = np.asarray(direction, dtype=float)
-    u = u / np.linalg.norm(u)
-    if lo is None:
-        lo = 1e-9
-    if hi is None:
-        hi = _boundary_ray_limit(domain, evaluator.center, u) * (1 - 1e-9)
-    flo = evaluator.eval(evaluator.center + lo * u)
-    if flo > level:
-        raise InvalidInputError("bisection bracket does not contain the level")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if evaluator.eval(evaluator.center + mid * u) <= level:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * max(lo, 1e-12):
-            break
-    return 0.5 * (lo + hi)
 
 
 def _boundary_ray_limit(domain, origin, u, cap=1e6):

@@ -6,155 +6,27 @@ the wall time on per-call overhead of small arrays.  Here a whole batch of
 paths shares every vectorized evaluation: the objective, the finite
 difference gradients, the Armijo backtracking (per-path step sizes via
 masks), and the checkerboard relaxation.  Endpoints are arbitrary per path.
+The kernels live in ``solver``, whose ``refine_path`` drives the same ones
+one path at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import DomainViolationError, Polyline, certify_segment
+from .geometry import DomainViolationError, Polyline, _resample_paths
 from .solver import (
     DEFAULT_SOLVER,
     RefinementConfig,
     SolverConfig,
+    _batch_gradient,
+    _batch_objective,
+    _batch_relax,
+    _batch_screen,
     _refine_schedule,
-    _segment_values,
     grid_init,
     log_lower_bound,
 )
-
-
-def _batch_objective(domain, Vs):
-    P, m, dim = Vs.shape
-    vals = _segment_values(
-        domain, Vs[:, :-1].reshape(-1, dim), Vs[:, 1:].reshape(-1, dim)
-    ).reshape(P, m - 1)
-    return vals.sum(axis=1), vals
-
-
-def _batch_gradient(domain, Vs, base_vals, fd_scale=1e-6):
-    """One-sided-aware finite-difference gradient for every path at once."""
-    P, m, dim = Vs.shape
-    inner = m - 2
-    d_in = domain.depth_many(Vs[:, 1:-1].reshape(-1, dim)).reshape(P, inner)
-    h = fd_scale * d_in
-    eye = np.eye(dim)
-    signs = np.array([1.0, -1.0])
-    Pp = (
-        Vs[:, 1:-1][:, :, None, None, :]
-        + h[:, :, None, None, None] * eye[None, None, :, None, :] * signs[None, None, None, :, None]
-    )  # (P, inner, dim, 2, dim)
-    prev = np.broadcast_to(Vs[:, :-2][:, :, None, None, :], Pp.shape)
-    nxt = np.broadcast_to(Vs[:, 2:][:, :, None, None, :], Pp.shape)
-    A = np.concatenate([prev.reshape(-1, dim), Pp.reshape(-1, dim)])
-    B = np.concatenate([Pp.reshape(-1, dim), nxt.reshape(-1, dim)])
-    vals = _segment_values(domain, A, B)
-    half = vals.size // 2
-    F = (vals[:half] + vals[half:]).reshape(P, inner, dim, 2)
-    base = (base_vals[:, :-1] + base_vals[:, 1:])[:, :, None]
-    with np.errstate(invalid="ignore"):
-        down_plus = (base - F[..., 0]) / h[:, :, None]
-        down_minus = (base - F[..., 1]) / h[:, :, None]
-    down_plus = np.where(np.isfinite(down_plus), down_plus, -np.inf)
-    down_minus = np.where(np.isfinite(down_minus), down_minus, -np.inf)
-    locked = (down_plus <= 0.0) & (down_minus <= 0.0)
-    grad = np.where(down_plus >= down_minus, -down_plus, down_minus)
-    return np.where(locked, 0.0, grad)
-
-
-def _batch_screen(domain, Vs):
-    """Per-path interiority screen: positive depth along segments plus the
-    Lipschitz budget between consecutive quadrature nodes; the rare segment
-    failing the screen gets the exact bisection certificate."""
-    P, m, dim = Vs.shape
-    nodes = np.linspace(0.0, 1.0, 5)
-    seg = Vs[:, 1:] - Vs[:, :-1]
-    pts = Vs[:, :-1][:, :, None, :] + seg[:, :, None, :] * nodes[None, None, :, None]
-    d = domain.depth_many(pts.reshape(-1, dim)).reshape(P, m - 1, 5)
-    ok = (d > 0.0).all(axis=(1, 2))
-    slen = np.sqrt((seg * seg).sum(axis=2)) / 4.0
-    lips = (d[:, :, :-1] + d[:, :, 1:] > slen[:, :, None]).all(axis=(1, 2))
-    out = ok.copy()
-    for p in np.nonzero(ok & ~lips)[0]:
-        fine = True
-        for i in range(m - 1):
-            if not certify_segment(domain, Vs[p, i], Vs[p, i + 1]):
-                fine = False
-                break
-        out[p] = fine
-    return out
-
-
-def _batch_relax(domain, Vs, active, ref: RefinementConfig, sweeps):
-    P, m, dim = Vs.shape
-    if m < 3 or sweeps <= 0:
-        f, _ = _batch_objective(domain, Vs)
-        return Vs, f
-    steps = 0.5 ** np.array([0, 1, 2, 3, 4, 5, 6, 7, 9, 11, 13])
-    fixed = []
-    for c in range(dim):
-        e = np.zeros(dim)
-        e[c] = 1.0
-        fixed += [e, -e]
-    for sg in np.ndindex(*(2,) * dim):
-        fixed.append(np.where(np.array(sg) == 0, 1.0, -1.0) / np.sqrt(dim))
-    fixed = np.stack(fixed)
-    f, vals = _batch_objective(domain, Vs)
-    live = active.copy()
-    for _ in range(sweeps):
-        if not live.any():
-            break
-        idxp = np.nonzero(live)[0]
-        W = Vs[idxp]
-        _, wvals = _batch_objective(domain, W)
-        g = _batch_gradient(domain, W, wvals)
-        improved = np.zeros(idxp.size)
-        for parity in (1, 0):
-            cols = np.arange(1 + parity, m - 1, 2)
-            if cols.size == 0:
-                continue
-            gi = g[:, cols - 1]
-            gn = np.sqrt((gi * gi).sum(axis=2, keepdims=True))
-            u = np.where(gn > 0, -gi / np.maximum(gn, 1e-300), 0.0)
-            dirs = np.concatenate(
-                [u[:, :, None, :],
-                 np.broadcast_to(fixed[None, None], (idxp.size, cols.size) + fixed.shape)],
-                axis=2,
-            )  # (p, k, J, dim)
-            d_i = domain.depth_many(W[:, cols].reshape(-1, dim)).reshape(idxp.size, cols.size)
-            delta = 0.45 * d_i
-            C = (
-                W[:, cols][:, :, None, None, :]
-                + (delta[:, :, None, None] * steps[None, None, None, :])[..., None]
-                * dirs[:, :, :, None, :]
-            )  # (p, k, J, T, dim)
-            J, T = dirs.shape[2], steps.size
-            prev = np.broadcast_to(W[:, cols - 1][:, :, None, None, :], C.shape)
-            nxt = np.broadcast_to(W[:, cols + 1][:, :, None, None, :], C.shape)
-            A = np.concatenate([prev.reshape(-1, dim), C.reshape(-1, dim)])
-            B = np.concatenate([C.reshape(-1, dim), nxt.reshape(-1, dim)])
-            sv = _segment_values(domain, A, B)
-            half = sv.size // 2
-            F = (sv[:half] + sv[half:]).reshape(idxp.size, cols.size, J * T)
-            base = wvals[:, cols - 1] + wvals[:, cols]
-            best = F.argmin(axis=2)
-            pi, ki = np.indices(best.shape)
-            bestF = F[pi, ki, best]
-            gain = base - bestF
-            take = gain > 1e-14 * np.maximum(np.abs(f[idxp, None]), 1.0)
-            if take.any():
-                newpos = C.reshape(idxp.size, cols.size, J * T, dim)[pi, ki, best]
-                Wn = W.copy()
-                Wn[:, cols] = np.where(take[:, :, None], newpos, W[:, cols])
-                cert = _batch_screen(domain, Wn)
-                W = np.where(cert[:, None, None], Wn, W)
-                improved += np.where(cert, gain.sum(axis=1), 0.0)
-                _, wvals = _batch_objective(domain, W)
-        Vs[idxp] = W
-        fnew, vals = _batch_objective(domain, Vs)
-        f = fnew
-        live[idxp] = improved > 1e-10 * np.maximum(np.abs(f[idxp]), 1.0)
-    return Vs, f
 
 
 def _batch_fixed_count(domain, Vs, ref: RefinementConfig, relax_sweeps):
@@ -164,30 +36,27 @@ def _batch_fixed_count(domain, Vs, ref: RefinementConfig, relax_sweeps):
     if not np.isfinite(f).all():
         raise DomainViolationError("batch initial path not strictly inside the domain")
     recent = np.tile(f[:, None], (1, 5))
-    t_prev = np.full(P, np.nan)
     g_prev = np.zeros((P, m - 2, dim))
     s_prev = np.zeros((P, m - 2, dim))
     have_bb = np.zeros(P, dtype=bool)
     active = np.ones(P, dtype=bool)
     stagnant = np.zeros(P, dtype=int)
     gnorm = np.full(P, np.inf)
-    vals = vals  # per-path segment values, kept current below
     for it in range(ref.max_iterations):
         if not active.any():
             break
         idx = np.nonzero(active)[0]
         W = Vs[idx]
-        g = _batch_gradient(domain, W, vals[idx])
+        g, d_in = _batch_gradient(domain, W, vals[idx])
         gn = np.abs(g).max(axis=(1, 2))
         gnorm[idx] = gn
         hit = gn <= ref.gradient_tol
         if hit.any():
             active[idx[hit]] = False
             keep = ~hit
-            idx, W, g, gn = idx[keep], W[keep], g[keep], gn[keep]
+            idx, W, g, gn, d_in = idx[keep], W[keep], g[keep], gn[keep], d_in[keep]
             if idx.size == 0:
                 continue
-        d_in = domain.depth_many(W[:, 1:-1].reshape(-1, dim)).reshape(idx.size, m - 2)
         t_fresh = 0.25 * d_in.min(axis=1) / gn
         y = g - g_prev[idx]
         sy = (s_prev[idx] * y).sum(axis=(1, 2))
@@ -200,17 +69,19 @@ def _batch_fixed_count(domain, Vs, ref: RefinementConfig, relax_sweeps):
         accepted = np.zeros(idx.size, dtype=bool)
         Wn = W.copy()
         fn = np.full(idx.size, np.inf)
+        vn = np.empty((idx.size, m - 1))  # segment values of the accepted trials
         for _ in range(26):
             rows = np.nonzero(live)[0]
             trial = W[rows].copy()
             trial[:, 1:-1] = W[rows][:, 1:-1] - t[rows][:, None, None] * g[rows]
-            ftr, _ = _batch_objective(domain, trial)
+            ftr, vtr = _batch_objective(domain, trial)
             okv = np.isfinite(ftr) & (ftr <= fref[rows] - 1e-4 * t[rows] * g2[rows])
             if okv.any():
                 cert = _batch_screen(domain, trial[okv])
                 newly = rows[okv][cert]
                 Wn[newly] = trial[okv][cert]
                 fn[newly] = ftr[okv][cert]
+                vn[newly] = vtr[okv][cert]
                 accepted[newly] = True
                 live[newly] = False
             if not live.any():
@@ -227,8 +98,7 @@ def _batch_fixed_count(domain, Vs, ref: RefinementConfig, relax_sweeps):
             rel = (f[ia] - fn[accepted]) / np.maximum(np.abs(fn[accepted]), 1e-300)
             Vs[ia] = Wn[accepted]
             f[ia] = fn[accepted]
-            _, va = _batch_objective(domain, Vs[ia])
-            vals[ia] = va
+            vals[ia] = vn[accepted]
             recent[ia] = np.roll(recent[ia], 1, axis=1)
             recent[ia, 0] = f[ia]
             stagnant[ia] = np.where(np.abs(rel) < ref.length_rel_tol, stagnant[ia] + 1, 0)
@@ -237,24 +107,8 @@ def _batch_fixed_count(domain, Vs, ref: RefinementConfig, relax_sweeps):
     # only paths that did not reach the gradient tolerance need polishing
     need = gnorm > ref.gradient_tol
     if need.any():
-        Vs, f = _batch_relax(domain, Vs, need, ref, relax_sweeps)
-    else:
-        f, _ = _batch_objective(domain, Vs)
+        Vs, f, _ = _batch_relax(domain, Vs, vals, need, relax_sweeps)
     return Vs, f, gnorm
-
-
-def _batch_resample(Vs, count):
-    P, m, dim = Vs.shape
-    seg = np.sqrt(((Vs[:, 1:] - Vs[:, :-1]) ** 2).sum(axis=2))
-    s = np.concatenate([np.zeros((P, 1)), np.cumsum(seg, axis=1)], axis=1)
-    out = np.empty((P, count, dim))
-    for p in range(P):
-        t = np.linspace(0.0, s[p, -1], count)
-        for j in range(dim):
-            out[p, :, j] = np.interp(t, s[p], Vs[p, :, j])
-        out[p, 0] = Vs[p, 0]
-        out[p, -1] = Vs[p, -1]
-    return out
 
 
 def solve_batch(domain, starts, ends, s: SolverConfig = DEFAULT_SOLVER,
@@ -293,12 +147,10 @@ def solve_batch(domain, starts, ends, s: SolverConfig = DEFAULT_SOLVER,
             # warm re-solve at fixed count (bisection rounds, sweeps)
             Vs, f, gn = _batch_fixed_count(domain, Vs, s.refinement, relax_sweeps)
         else:
-            schedule = [c for c in _refine_schedule(min(9, vertex_count), vertex_count)]
-            if Vs.shape[1] != schedule[0]:
-                Vs = _batch_resample(Vs, schedule[0])
+            schedule = _refine_schedule(min(9, vertex_count), vertex_count)
             for count in schedule:
                 if Vs.shape[1] != count:
-                    Vs = _batch_resample(Vs, count)
+                    Vs = _resample_paths(Vs, count)
                 final = count == schedule[-1]
                 Vs, f, gn = _batch_fixed_count(
                     domain, Vs, s.refinement, relax_sweeps if final else 1

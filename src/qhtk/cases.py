@@ -27,7 +27,7 @@ from .geometry import (
     prolongation_polygon,
     punctured_space,
 )
-from .metric import adaptive_interval_integral
+from .metric import adaptive_simpson
 from .solver import (
     DEFAULT_SOLVER,
     RefinementConfig,
@@ -313,9 +313,8 @@ def l2_halfcircle_length(n, diagonal=True, abs_tol=1e-10):
             pts[:, n - 1] = np.sin(phis)
         return dom.depth_many(pts)
 
-    return adaptive_interval_integral(
-        lambda p: 1.0 / dvals(p), 0.0, np.pi, abs_tol=abs_tol, rel_tol=abs_tol,
-    )
+    return adaptive_simpson(lambda _, p: 1.0 / dvals(p), [0.0], [np.pi],
+                            abs_tol, abs_tol, max_depth=40)
 
 
 def l2_nongeodesic_lengths(n_max=12, abs_tol=1e-10):

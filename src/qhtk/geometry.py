@@ -657,7 +657,6 @@ class Polyline:
     """Finite path: ordered vertices, endpoints pinned for the solver."""
 
     vertices: np.ndarray
-    free_interior: bool = True
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -680,27 +679,33 @@ class Polyline:
         return float(np.sqrt(np.sum(seg * seg, axis=1)).sum())
 
     def reversed(self):
-        return Polyline(self.vertices[::-1].copy(), self.free_interior)
+        return Polyline(self.vertices[::-1].copy())
 
     def mirrored(self, axis):
         """Reflection across the hyperplane {x_axis = 0}."""
         V = self.vertices.copy()
         V[:, axis] = -V[:, axis]
-        return Polyline(V, self.free_interior)
+        return Polyline(V)
 
     def resample(self, count):
         """Uniform arclength resampling with ``count`` vertices (endpoints kept)."""
-        V = self.vertices
-        seg = np.sqrt(np.sum(np.diff(V, axis=0) ** 2, axis=1))
-        s = np.concatenate([[0.0], np.cumsum(seg)])
-        total = s[-1]
-        t = np.linspace(0.0, total, count)
-        out = np.empty((count, V.shape[1]))
-        for j in range(V.shape[1]):
-            out[:, j] = np.interp(t, s, V[:, j])
-        out[0] = V[0]
-        out[-1] = V[-1]
-        return Polyline(out, self.free_interior)
+        return Polyline(_resample_paths(self.vertices[None], count)[0])
+
+
+def _resample_paths(Vs, count):
+    """Uniform arclength resampling of every path in Vs (P, m, dim) to
+    ``count`` vertices, endpoints kept exactly."""
+    P, m, dim = Vs.shape
+    seg = np.sqrt(np.sum(np.diff(Vs, axis=1) ** 2, axis=2))
+    s = np.concatenate([np.zeros((P, 1)), np.cumsum(seg, axis=1)], axis=1)
+    out = np.empty((P, count, dim))
+    for p in range(P):
+        t = np.linspace(0.0, s[p, -1], count)
+        for j in range(dim):
+            out[p, :, j] = np.interp(t, s[p], Vs[p, :, j])
+    out[:, 0] = Vs[:, 0]
+    out[:, -1] = Vs[:, -1]
+    return out
 
 
 def validate_polyline(domain, path: Polyline):

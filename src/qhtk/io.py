@@ -31,7 +31,6 @@ import hashlib
 import json
 import os
 import tempfile
-import time
 from dataclasses import dataclass
 
 import numpy as np

@@ -1,10 +1,10 @@
 """The quasihyperbolic length functional and its closed-form oracles.
 
 The length of a rectifiable path gamma is the integral of
-||gamma'(t)|| / d(gamma(t), boundary); polyline paths are integrated
-segment by segment with adaptive composite Simpson.  Two classical
-closed forms (half-space, punctured space) are kept as oracles to be
-validated against the variational solver, never trusted over it.
+||gamma'(t)|| / d(gamma(t), boundary); polyline paths are integrated by
+one adaptive composite Simpson over all their segments at once.  Two
+classical closed forms (half-space, punctured space) are kept as oracles
+to be validated against the variational solver, never trusted over it.
 """
 
 from __future__ import annotations
@@ -30,20 +30,13 @@ class EvaluationError(QHError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Adaptive composite quadrature controls for path-length integrals.
+    """Adaptive composite Simpson controls for path-length integrals."""
 
-    Simpson is the default; the midpoint rule is available for integrands
-    whose endpoint weights are awkward (both are adaptive per segment).
-    """
-
-    rule: str = "adaptive-simpson"
     abs_tol: float = 1e-8
     rel_tol: float = 1e-8
     max_subdivisions: int = 24
 
     def __post_init__(self):
-        if self.rule not in ("adaptive-simpson", "adaptive-midpoint"):
-            raise InvalidInputError(f"unknown quadrature rule {self.rule!r}")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise InvalidInputError("quadrature tolerances must be positive")
         if self.max_subdivisions < 1:
@@ -53,144 +46,42 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
-def adaptive_interval_integral(fvec, a, b, abs_tol=1e-10, rel_tol=1e-10, max_depth=40):
-    """Adaptive Simpson of a vectorized scalar function on [a, b].
+def adaptive_simpson(f, t0, t1, abs_tol, rel_tol, max_depth):
+    """Sum of adaptive Simpson integrals of ``f`` over the intervals [t0_i, t1_i].
 
-    ``fvec`` maps a 1-D array of abscissae to integrand values.  Used for
-    parametric curve lengths where the path is not a polyline.
+    ``f(sid, t)`` evaluates the integrand of interval ``sid[k]`` at
+    abscissa ``t[k]`` (1-D arrays).  All open subintervals are refined
+    together.  The tolerance max(abs_tol, rel_tol * crude total) is shared
+    equally by the intervals and halves at each bisection; a subinterval
+    still above its share after ``max_depth`` bisections is accepted when
+    within 8 times it, and otherwise raises EvaluationError.
     """
-    a = float(a)
-    b = float(b)
-    t0 = np.array([a])
-    t1 = np.array([b])
-    tm = 0.5 * (t0 + t1)
-    f0 = fvec(t0)
-    fm = fvec(tm)
-    f1 = fvec(t1)
-    simpson = (t1 - t0) / 6.0 * (f0 + 4.0 * fm + f1)
-    crude = abs(float(simpson[0]))
-    tol = np.array([max(abs_tol, rel_tol * crude)])
-    depth = np.array([0])
-    total = 0.0
-    while t0.size:
-        tm = 0.5 * (t0 + t1)
-        tl = 0.5 * (t0 + tm)
-        tr = 0.5 * (tm + t1)
-        fl = fvec(tl)
-        fr = fvec(tr)
-        sl = (tm - t0) / 6.0 * (f0 + 4.0 * fl + fm)
-        sr = (t1 - tm) / 6.0 * (fm + 4.0 * fr + f1)
-        err = (sl + sr - simpson) / 15.0
-        done = (np.abs(err) <= tol) | (depth >= max_depth)
-        if (depth[done] >= max_depth).any() and (np.abs(err[done]) > 8 * tol[done]).any():
-            raise EvaluationError("adaptive quadrature exhausted subdivision depth")
-        total += float((sl + sr + err)[done].sum())
-        keep = ~done
-        t0 = np.concatenate([t0[keep], tm[keep]])
-        t1 = np.concatenate([tm[keep], t1[keep]])
-        f0 = np.concatenate([f0[keep], fm[keep]])
-        f1 = np.concatenate([fm[keep], f1[keep]])
-        fm = np.concatenate([fl[keep], fr[keep]])
-        simpson = np.concatenate([sl[keep], sr[keep]])
-        tol = np.concatenate([0.5 * tol[keep], 0.5 * tol[keep]])
-        depth = np.concatenate([depth[keep] + 1, depth[keep] + 1])
-    return total
-
-
-def _integrate_polyline_midpoint(domain, V, q: QuadratureConfig):
-    """Adaptive composite midpoint variant (no endpoint evaluations)."""
-    A = V[:-1]
-    B = V[1:]
-    seg = B - A
-    seg_norm = domain.norm.eval(seg)
-    nseg = A.shape[0]
-
-    def feval(sid, t):
-        pts = A[sid] + t[:, None] * seg[sid]
-        d = domain.depth_many(pts)
-        if (d <= 0.0).any():
-            raise EvaluationError("path exits the domain during quadrature")
-        return seg_norm[sid] / d
-
-    sid = np.arange(nseg)
-    t0 = np.zeros(nseg)
-    t1 = np.ones(nseg)
-    fm = feval(sid, 0.5 * (t0 + t1))
-    est = (t1 - t0) * fm
-    crude = float(np.abs(est).sum())
-    tol = np.full(nseg, max(q.abs_tol, q.rel_tol * crude) / max(nseg, 1))
-    depth = np.zeros(nseg, dtype=int)
-    total = 0.0
-    while sid.size:
-        tm = 0.5 * (t0 + t1)
-        fl = feval(sid, 0.5 * (t0 + tm))
-        fr = feval(sid, 0.5 * (tm + t1))
-        child = 0.5 * (t1 - t0) * (fl + fr)
-        err = (child - est) / 3.0
-        done = np.abs(err) <= tol
-        exhausted = (~done) & (depth >= q.max_subdivisions)
-        if exhausted.any():
-            if (np.abs(err[exhausted]) > 8 * tol[exhausted]).any():
-                raise EvaluationError(
-                    "quadrature tolerance unreachable within max_subdivisions"
-                )
-            done |= exhausted
-        total += float((child + err)[done].sum())
-        keep = ~done
-        est = np.concatenate([(tm - t0)[keep] * fl[keep], (t1 - tm)[keep] * fr[keep]])
-        sid = np.concatenate([sid[keep], sid[keep]])
-        t0 = np.concatenate([t0[keep], tm[keep]])
-        t1 = np.concatenate([tm[keep], t1[keep]])
-        tol = np.concatenate([0.5 * tol[keep], 0.5 * tol[keep]])
-        depth = np.concatenate([depth[keep] + 1, depth[keep] + 1])
-    return total
-
-
-def _integrate_polyline(domain, V, q: QuadratureConfig):
-    """Sum of per-segment adaptive Simpson integrals of ||seg||/d."""
-    if q.rule == "adaptive-midpoint":
-        return _integrate_polyline_midpoint(domain, V, q)
-    A = V[:-1]
-    B = V[1:]
-    seg = B - A
-    seg_norm = domain.norm.eval(seg)
-    nseg = A.shape[0]
-
-    def feval(sid, t):
-        pts = A[sid] + t[:, None] * seg[sid]
-        d = domain.depth_many(pts)
-        if (d <= 0.0).any():
-            raise EvaluationError("path exits the domain during quadrature")
-        return seg_norm[sid] / d
-
-    sid = np.arange(nseg)
-    t0 = np.zeros(nseg)
-    t1 = np.ones(nseg)
-    f0 = feval(sid, t0)
-    f1 = feval(sid, t1)
-    fm = feval(sid, 0.5 * (t0 + t1))
+    t0 = np.asarray(t0, dtype=float)
+    t1 = np.asarray(t1, dtype=float)
+    n = t0.size
+    sid = np.arange(n)
+    f0 = f(sid, t0)
+    f1 = f(sid, t1)
+    fm = f(sid, 0.5 * (t0 + t1))
     simpson = (t1 - t0) / 6.0 * (f0 + 4.0 * fm + f1)
     crude = float(np.abs(simpson).sum())
-    tol0 = max(q.abs_tol, q.rel_tol * crude) / max(nseg, 1)
-    tol = np.full(nseg, tol0)
-    depth = np.zeros(nseg, dtype=int)
+    tol = np.full(n, max(abs_tol, rel_tol * crude) / max(n, 1))
+    depth = np.zeros(n, dtype=int)
     total = 0.0
     while sid.size:
         tm = 0.5 * (t0 + t1)
         tl = 0.5 * (t0 + tm)
         tr = 0.5 * (tm + t1)
-        fl = feval(sid, tl)
-        fr = feval(sid, tr)
+        fl = f(sid, tl)
+        fr = f(sid, tr)
         sl = (tm - t0) / 6.0 * (f0 + 4.0 * fl + fm)
         sr = (t1 - tm) / 6.0 * (fm + 4.0 * fr + f1)
         err = (sl + sr - simpson) / 15.0
         done = np.abs(err) <= tol
-        exhausted = (~done) & (depth >= q.max_subdivisions)
+        exhausted = (~done) & (depth >= max_depth)
         if exhausted.any():
             if (np.abs(err[exhausted]) > 8 * tol[exhausted]).any():
-                raise EvaluationError(
-                    "quadrature tolerance unreachable within max_subdivisions"
-                )
+                raise EvaluationError("adaptive quadrature exhausted subdivision depth")
             done |= exhausted
         total += float((sl + sr + err)[done].sum())
         keep = ~done
@@ -222,7 +113,17 @@ def qh_path_length(domain, path: Polyline, q: QuadratureConfig = DEFAULT_QUADRAT
     for i in np.nonzero(risky)[0]:
         if not certify_segment(domain, V[i], V[i + 1]):
             raise EvaluationError(f"segment {i} cannot be certified inside the domain")
-    return _integrate_polyline(domain, V, q)
+    seg_norm = domain.norm.eval(seg)
+
+    def integrand(sid, t):
+        d = domain.depth_many(V[:-1][sid] + t[:, None] * seg[sid])
+        if (d <= 0.0).any():
+            raise EvaluationError("path exits the domain during quadrature")
+        return seg_norm[sid] / d
+
+    n = seg.shape[0]
+    return adaptive_simpson(integrand, np.zeros(n), np.ones(n),
+                            q.abs_tol, q.rel_tol, q.max_subdivisions)
 
 
 def qh_lower_bound(domain, x, y):

@@ -49,7 +49,6 @@ class RefinementConfig:
     """Per-level descent controls (iterations are per refinement level)."""
 
     max_iterations: int = 400
-    step_rule: str = "backtracking"
     gradient_tol: float = 1e-4
     length_rel_tol: float = 1e-9
 
@@ -97,7 +96,7 @@ class GeodesicResult:
 
 
 # ---------------------------------------------------------------------------
-# fixed-node objective
+# fixed-node objective and the descent kernels
 # ---------------------------------------------------------------------------
 
 _NODES = np.linspace(0.0, 1.0, 7)
@@ -121,26 +120,28 @@ def _segment_values(domain, A, B):
     return vals
 
 
-def _polyline_objective(domain, V):
-    vals = _segment_values(domain, V[:-1], V[1:])
-    return float(vals.sum()), vals
+def _directions(dim):
+    """Unit probe directions: each coordinate axis both ways, then every diagonal."""
+    dirs = []
+    for e in np.eye(dim):
+        dirs += [e, -e]
+    for signs in np.ndindex(*(2,) * dim):
+        dirs.append(np.where(np.array(signs) == 0, 1.0, -1.0) / np.sqrt(dim))
+    return np.stack(dirs)
 
 
-def _accepted_step_certified(domain, V):
-    """Exact interiority of all segments (Lipschitz certificate with bisection)."""
-    d = domain.depth_many(V)
-    if (d <= 0.0).any():
-        return False
-    seg = np.diff(V, axis=0)
-    lens = np.sqrt(np.sum(seg * seg, axis=1))
-    risky = ~(d[:-1] + d[1:] > lens)
-    for i in np.nonzero(risky)[0]:
-        if not certify_segment(domain, V[i], V[i + 1]):
-            return False
-    return True
+# The descent kernels below act on a batch of paths Vs of shape (P, m, dim)
+# with pinned endpoints; a single path runs as the view V[None].
+def _batch_objective(domain, Vs):
+    """Fixed-node length of every path, and its per-segment values."""
+    P, m, dim = Vs.shape
+    vals = _segment_values(
+        domain, Vs[:, :-1].reshape(-1, dim), Vs[:, 1:].reshape(-1, dim)
+    ).reshape(P, m - 1)
+    return vals.sum(axis=1), vals
 
 
-def _fd_gradient(domain, V, base_vals, fd_scale=1e-6):
+def _batch_gradient(domain, Vs, base_vals, fd_scale=1e-6):
     """Finite-difference gradient of the fixed-node objective over interior vertices.
 
     The step is fd_scale times the local boundary distance, so probes stay
@@ -148,111 +149,136 @@ def _fd_gradient(domain, V, base_vals, fd_scale=1e-6):
     smooth pieces, so the objective has kinks; per coordinate the steeper
     *downhill* one-sided slope is used, which equals the central difference
     on smooth parts, and vanishes at a kink minimum (both sides uphill)
-    instead of reporting the meaningless kink average.
+    instead of reporting the meaningless kink average.  Returns the
+    gradient and the boundary distances of the interior vertices.
     """
-    m, dim = V.shape
+    P, m, dim = Vs.shape
     inner = m - 2
-    if inner <= 0:
-        return np.zeros((0, dim)), np.zeros(0)
-    d_in = domain.depth_many(V[1:-1])
+    d_in = domain.depth_many(Vs[:, 1:-1].reshape(-1, dim)).reshape(P, inner)
     h = fd_scale * d_in
     eye = np.eye(dim)
-    # perturbed positions, shape (inner, dim, 2, dim)
-    P = (
-        V[1:-1][:, None, None, :]
-        + h[:, None, None, None] * eye[None, :, None, :] * np.array([1.0, -1.0])[None, None, :, None]
-    )
-    prev = np.broadcast_to(V[:-2][:, None, None, :], P.shape)
-    nxt = np.broadcast_to(V[2:][:, None, None, :], P.shape)
-    A = np.concatenate([prev.reshape(-1, dim), P.reshape(-1, dim)])
-    B = np.concatenate([P.reshape(-1, dim), nxt.reshape(-1, dim)])
+    signs = np.array([1.0, -1.0])
+    Pp = (
+        Vs[:, 1:-1][:, :, None, None, :]
+        + h[:, :, None, None, None] * eye[None, None, :, None, :] * signs[None, None, None, :, None]
+    )  # (P, inner, dim, 2, dim)
+    prev = np.broadcast_to(Vs[:, :-2][:, :, None, None, :], Pp.shape)
+    nxt = np.broadcast_to(Vs[:, 2:][:, :, None, None, :], Pp.shape)
+    A = np.concatenate([prev.reshape(-1, dim), Pp.reshape(-1, dim)])
+    B = np.concatenate([Pp.reshape(-1, dim), nxt.reshape(-1, dim)])
     vals = _segment_values(domain, A, B)
     half = vals.size // 2
-    F = (vals[:half] + vals[half:]).reshape(inner, dim, 2)
-    base = (base_vals[:-1] + base_vals[1:]).reshape(inner, 1)
-    plus, minus = F[:, :, 0], F[:, :, 1]
+    F = (vals[:half] + vals[half:]).reshape(P, inner, dim, 2)
+    base = (base_vals[:, :-1] + base_vals[:, 1:])[:, :, None]
     with np.errstate(invalid="ignore"):
-        down_plus = (base - plus) / h[:, None]    # > 0: +e_c is downhill
-        down_minus = (base - minus) / h[:, None]  # > 0: -e_c is downhill
+        down_plus = (base - F[..., 0]) / h[:, :, None]   # > 0: +e_c is downhill
+        down_minus = (base - F[..., 1]) / h[:, :, None]  # > 0: -e_c is downhill
     down_plus = np.where(np.isfinite(down_plus), down_plus, -np.inf)
     down_minus = np.where(np.isfinite(down_minus), down_minus, -np.inf)
     locked = (down_plus <= 0.0) & (down_minus <= 0.0)
     grad = np.where(down_plus >= down_minus, -down_plus, down_minus)
-    grad = np.where(locked, 0.0, grad)
-    return grad, h
+    return np.where(locked, 0.0, grad), d_in
 
 
-def _local_relax(domain, V, ref: RefinementConfig, max_sweeps=60):
-    """Checkerboard per-vertex polish.
+_SCREEN_NODES = np.linspace(0.0, 1.0, 5)
+
+
+def _batch_screen(domain, Vs):
+    """Exact interiority of every path: positive depth at five nodes per
+    segment plus the Lipschitz budget between consecutive nodes; a segment
+    failing the budget gets the bisection certificate."""
+    P, m, dim = Vs.shape
+    seg = Vs[:, 1:] - Vs[:, :-1]
+    pts = Vs[:, :-1][:, :, None, :] + seg[:, :, None, :] * _SCREEN_NODES[None, None, :, None]
+    d = domain.depth_many(pts.reshape(-1, dim)).reshape(P, m - 1, 5)
+    out = (d > 0.0).all(axis=(1, 2))
+    slen = np.sqrt((seg * seg).sum(axis=2)) / 4.0
+    risky = ~(d[:, :, :-1] + d[:, :, 1:] > slen[:, :, None]).all(axis=2)
+    for p, i in zip(*np.nonzero(out[:, None] & risky)):
+        if out[p] and not certify_segment(domain, Vs[p, i], Vs[p, i + 1]):
+            out[p] = False
+    return out
+
+
+_RELAX_STEPS = 0.5 ** np.array([0, 1, 2, 3, 4, 5, 6, 7, 9, 11, 13])
+
+
+def _batch_relax(domain, Vs, vals, active, sweeps):
+    """Checkerboard per-vertex polish of the active paths, in place.
 
     Vertices of equal parity touch disjoint segment pairs, so a whole
-    parity class line-searches in one batch, each vertex with its own step.
-    This is what actually finishes solves whose global BB steps crawl at
-    weight-seam kinks (a shared step size cannot serve both the crawling
-    vertex and the rest of the chain).
+    parity class line-searches at once, each vertex with its own step
+    along the downhill direction, the axes and the diagonals.  This is what
+    finishes solves whose global BB steps crawl at weight-seam kinks (a
+    shared step size cannot serve both the crawling vertex and the rest of
+    the chain).  ``vals`` are the current segment values; a path stops when
+    the moves a sweep took gain at most 1e-10 relative.  Returns
+    (Vs, lengths, vals).
     """
-    f, segvals = _polyline_objective(domain, V)
-    m, dim = V.shape
-    if m < 3:
-        return V, f, segvals
-    steps = 0.5 ** np.array([0, 1, 2, 3, 4, 5, 6, 7, 9, 11, 13])
-    fixed_dirs = []
-    for c in range(dim):
-        e = np.zeros(dim)
-        e[c] = 1.0
-        fixed_dirs += [e, -e]
-    for signs in np.ndindex(*(2,) * dim):
-        fixed_dirs.append(np.where(np.array(signs) == 0, 1.0, -1.0) / np.sqrt(dim))
-    fixed_dirs = np.stack(fixed_dirs)  # (J0, dim)
-    for sweep in range(max_sweeps):
-        improved = 0.0
-        g, _ = _fd_gradient(domain, V, segvals)  # direction may go slightly stale
+    P, m, dim = Vs.shape
+    f = vals.sum(axis=1)
+    if m < 3 or sweeps <= 0:
+        return Vs, f, vals
+    fixed = _directions(dim)
+    live = active.copy()
+    for _ in range(sweeps):
+        if not live.any():
+            break
+        idxp = np.nonzero(live)[0]
+        W = Vs[idxp]
+        wvals = vals[idxp]
+        g, d_in = _batch_gradient(domain, W, wvals)  # direction may go slightly stale
+        improved = np.zeros(idxp.size)
         for parity in (1, 0):
-            idx = np.arange(1 + parity, m - 1, 2)
-            if idx.size == 0:
+            cols = np.arange(1 + parity, m - 1, 2)
+            if cols.size == 0:
                 continue
-            gi = g[idx - 1]
-            gn = np.sqrt((gi * gi).sum(axis=1, keepdims=True))
+            gi = g[:, cols - 1]
+            gn = np.sqrt((gi * gi).sum(axis=2, keepdims=True))
             u = np.where(gn > 0, -gi / np.maximum(gn, 1e-300), 0.0)
             dirs = np.concatenate(
-                [u[:, None, :], np.broadcast_to(fixed_dirs[None], (idx.size,) + fixed_dirs.shape)],
-                axis=1,
-            )  # (K, J, dim)
-            d_i = domain.depth_many(V[idx])
-            base = segvals[idx - 1] + segvals[idx]
-            delta = 0.45 * d_i
-            # candidate positions over direction x step ladder: (K, J, T, dim)
-            P = (
-                V[idx][:, None, None, :]
-                + (delta[:, None, None] * steps[None, None, :])[..., None] * dirs[:, :, None, :]
-            )
-            K, J, T = P.shape[:3]
-            prev = np.broadcast_to(V[idx - 1][:, None, None, :], P.shape)
-            nxt = np.broadcast_to(V[idx + 1][:, None, None, :], P.shape)
-            A = np.concatenate([prev.reshape(-1, dim), P.reshape(-1, dim)])
-            B = np.concatenate([P.reshape(-1, dim), nxt.reshape(-1, dim)])
-            vals = _segment_values(domain, A, B)
-            half = vals.size // 2
-            F = (vals[:half] + vals[half:]).reshape(K, J * T)
-            best = np.argmin(F, axis=1)
-            best_F = F[np.arange(K), best]
-            gain = base - best_F
-            take = gain > 1e-14 * max(abs(f), 1.0)
+                [u[:, :, None, :],
+                 np.broadcast_to(fixed[None, None], (idxp.size, cols.size) + fixed.shape)],
+                axis=2,
+            )  # (p, k, J, dim)
+            # parity classes move in turn, so these vertices are where the gradient saw them
+            delta = 0.45 * d_in[:, cols - 1]
+            # candidate positions over direction x step ladder
+            C = (
+                W[:, cols][:, :, None, None, :]
+                + (delta[:, :, None, None] * _RELAX_STEPS[None, None, None, :])[..., None]
+                * dirs[:, :, :, None, :]
+            )  # (p, k, J, T, dim)
+            J, T = dirs.shape[2], _RELAX_STEPS.size
+            prev = np.broadcast_to(W[:, cols - 1][:, :, None, None, :], C.shape)
+            nxt = np.broadcast_to(W[:, cols + 1][:, :, None, None, :], C.shape)
+            A = np.concatenate([prev.reshape(-1, dim), C.reshape(-1, dim)])
+            B = np.concatenate([C.reshape(-1, dim), nxt.reshape(-1, dim)])
+            sv = _segment_values(domain, A, B)
+            half = sv.size // 2
+            F = (sv[:half] + sv[half:]).reshape(idxp.size, cols.size, J * T)
+            base = wvals[:, cols - 1] + wvals[:, cols]
+            best = F.argmin(axis=2)
+            pi, ki = np.indices(best.shape)
+            gain = base - F[pi, ki, best]
+            take = gain > 1e-14 * np.maximum(np.abs(f[idxp, None]), 1.0)
             if take.any():
-                newpos = P.reshape(K, J * T, dim)[np.arange(K), best]
-                cand = V.copy()
-                cand[idx[take]] = newpos[take]
-                if _accepted_step_certified(domain, cand):
-                    V = cand
-                    improved += float(gain[take].sum())
-                    _, segvals = _polyline_objective(domain, V)
-        f, segvals = _polyline_objective(domain, V)
-        if improved <= 1e-10 * max(abs(f), 1.0):
-            break
-    return V, f, segvals
+                newpos = C.reshape(idxp.size, cols.size, J * T, dim)[pi, ki, best]
+                Wn = W.copy()
+                Wn[:, cols] = np.where(take[:, :, None], newpos, W[:, cols])
+                cert = _batch_screen(domain, Wn)
+                W = np.where(cert[:, None, None], Wn, W)
+                # only the moves taken count; a vertex left in place has gain <= 0
+                improved += np.where(cert, np.where(take, gain, 0.0).sum(axis=1), 0.0)
+                _, wvals = _batch_objective(domain, W)
+        Vs[idxp] = W
+        vals[idxp] = wvals
+        f[idxp] = wvals.sum(axis=1)
+        live[idxp] = improved > 1e-10 * np.maximum(np.abs(f[idxp]), 1.0)
+    return Vs, f, vals
 
 
-def _kink_stationary(domain, V, segvals, tol, scales=(1e-6, 3e-4, 1e-2)):
+def _kink_stationary(domain, V, segvals, d_in, tol, scales=(1e-6, 3e-4, 1e-2)):
     """First-order optimality at weight seams, tested at several probe scales.
 
     The boundary distance of a CSG domain is a min of smooth pieces, so the
@@ -261,22 +287,12 @@ def _kink_stationary(domain, V, segvals, tol, scales=(1e-6, 3e-4, 1e-2)):
     a one-sided downhill slope at infinitesimal probes.  A vertex counts as
     stationary when, at some probe scale h, every directional move (axes
     and diagonals) fails to improve the objective by more than tol * h.
+    ``d_in`` are the boundary distances of the interior vertices.
     """
     m, dim = V.shape
     inner = m - 2
-    if inner <= 0:
-        return True
-    d_in = domain.depth_many(V[1:-1])
     base = segvals[:-1] + segvals[1:]
-    dirs = []
-    for c in range(dim):
-        e = np.zeros(dim)
-        e[c] = 1.0
-        dirs += [e, -e]
-    for signs in np.ndindex(*(2,) * dim):
-        v = np.where(np.array(signs) == 0, 1.0, -1.0) / np.sqrt(dim)
-        dirs.append(v)
-    D = np.stack(dirs)
+    D = _directions(dim)
     K = D.shape[0]
     prev0 = V[:-2]
     nxt0 = V[2:]
@@ -299,17 +315,21 @@ def _kink_stationary(domain, V, segvals, tol, scales=(1e-6, 3e-4, 1e-2)):
     return bool(stationary.all())
 
 
-def _descend(domain, V, ref: RefinementConfig, history, relax_sweeps=30, measure=True):
+def _descend(domain, V, ref: RefinementConfig, history, relax_sweeps):
     """Barzilai-Borwein gradient descent with non-monotone Armijo backtracking.
 
     The reference value for the sufficient-decrease test is the max of the
     last few objectives (BB steps are much faster when not forced strictly
-    monotone); the best iterate seen is what gets returned.
+    monotone); the best iterate seen is what gets returned.  A rejected BB
+    step is retried from the fresh step 0.25 d_min / |g|.  The path runs
+    through the batch kernels as a batch of one: this scalar loop costs
+    less per iteration than the batch driver's masks and index arrays.
     """
-    f, segvals = _polyline_objective(domain, V)
+    fs, segvals = _batch_objective(domain, V[None])
+    f = float(fs[0])
     if not np.isfinite(f):
         raise DomainViolationError("initial path is not strictly inside the domain")
-    V_best, f_best = V, f
+    V_best, f_best, vals_best = V, f, segvals
     recent = [f]
     grad_prev = None
     step_prev = None
@@ -318,11 +338,11 @@ def _descend(domain, V, ref: RefinementConfig, history, relax_sweeps=30, measure
     stagnant = 0
     while it < ref.max_iterations:
         it += 1
-        g, _ = _fd_gradient(domain, V, segvals)
-        gnorm = float(np.abs(g).max()) if g.size else 0.0
+        g, d_in = _batch_gradient(domain, V[None], segvals)
+        g = g[0]
+        gnorm = float(np.abs(g).max())
         if gnorm <= ref.gradient_tol:
             break
-        d_in = domain.depth_many(V[1:-1])
         t_fresh = 0.25 * float(d_in.min()) / gnorm
         if grad_prev is not None and step_prev is not None:
             y = (g - grad_prev).ravel()
@@ -341,11 +361,12 @@ def _descend(domain, V, ref: RefinementConfig, history, relax_sweeps=30, measure
             for _ in range(30):
                 Vn = V.copy()
                 Vn[1:-1] = V[1:-1] - tt * g
-                fn, segn = _polyline_objective(domain, Vn)
+                fs, segn = _batch_objective(domain, Vn[None])
+                fn = float(fs[0])
                 if (
                     np.isfinite(fn)
                     and fn <= f_ref - 1e-4 * tt * g2
-                    and _accepted_step_certified(domain, Vn)
+                    and _batch_screen(domain, Vn[None])[0]
                 ):
                     accepted = True
                     break
@@ -365,25 +386,22 @@ def _descend(domain, V, ref: RefinementConfig, history, relax_sweeps=30, measure
         if f < f_best:
             if not history or f < history[-1]:
                 history.append(f)
-            V_best, f_best = V, f
+            V_best, f_best, vals_best = V, f, segvals
         stagnant = stagnant + 1 if abs(rel_drop) < ref.length_rel_tol else 0
         if stagnant >= 3:
             break
     # polish: per-vertex relaxation finishes what shared-step BB crawls on
-    V_relax, f_relax, relax_vals = _local_relax(domain, V_best, ref, max_sweeps=relax_sweeps)
-    if f_relax < f_best:
-        V_best, f_best = V_relax, f_relax
+    Vr, fr, vr = _batch_relax(domain, V_best[None].copy(), vals_best.copy(),
+                              np.ones(1, dtype=bool), relax_sweeps)
+    if fr[0] < f_best:
+        V_best, f_best, vals_best = Vr[0], float(fr[0]), vr
         if not history or f_best < history[-1]:
             history.append(f_best)
-    if not measure:
-        # fast path for warm re-solves: trust the exit state
-        return V_best, f_best, it, gnorm <= 10.0 * ref.gradient_tol, gnorm
     # measure optimality at the iterate actually returned
-    _, best_vals = _polyline_objective(domain, V_best)
-    g_best, _ = _fd_gradient(domain, V_best, best_vals)
-    gnorm = float(np.abs(g_best).max()) if g_best.size else 0.0
+    g_best, d_best = _batch_gradient(domain, V_best[None], vals_best)
+    gnorm = float(np.abs(g_best).max())
     converged = gnorm <= ref.gradient_tol or _kink_stationary(
-        domain, V_best, best_vals, ref.gradient_tol
+        domain, V_best, vals_best[0], d_best[0], ref.gradient_tol
     )
     return V_best, f_best, it, converged, gnorm
 
@@ -619,8 +637,8 @@ class _GridGraph:
         return node_near[self.rows] & node_near[self.cols]
 
 
-def _chord_polyline(x, y, count=9):
-    t = np.linspace(0.0, 1.0, count)
+def _chord_polyline(x, y):
+    t = np.linspace(0.0, 1.0, 9)
     return Polyline(x[None, :] + t[:, None] * (y - x)[None, :])
 
 
@@ -743,134 +761,3 @@ def dedupe_geodesics(results, rel_sup_tol=1e-2, samples=96):
             kept.append(r)
             sampled.append(P)
     return kept
-
-
-# ---------------------------------------------------------------------------
-# warm-started evaluation of k(center, .)
-# ---------------------------------------------------------------------------
-
-class CenterEvaluator:
-    """Evaluates k(center, y) for sweeps of nearby targets.
-
-    Reuses the previous converged polyline, shifted onto the new endpoint,
-    as the next initial guess; for slowly moving targets (field fills,
-    bisection along a ray, contour sweeps) each solve needs only a few
-    descent iterations.  Results are deterministic for a fixed config.
-    """
-
-    def __init__(self, domain, center, vertex_count=33,
-                 s: SolverConfig = DEFAULT_SOLVER,
-                 gradient_tol=None, max_iterations=250, relax_sweeps=3):
-        self.domain = domain
-        self.center = np.asarray(center, dtype=float)
-        if not domain.contains(self.center):
-            raise DomainViolationError("center must lie inside the domain")
-        self.vertex_count = vertex_count
-        ref = s.refinement
-        self.ref = RefinementConfig(
-            max_iterations=max_iterations,
-            gradient_tol=gradient_tol if gradient_tol is not None else ref.gradient_tol,
-            length_rel_tol=ref.length_rel_tol,
-        )
-        self.relax_sweeps = relax_sweeps
-        self.sconf = s
-        self._last = None
-
-    def _transport(self, y):
-        """Carry the cached path onto the new endpoint by the similarity
-        transform about the center; near-exact for neighboring targets."""
-        old = self._last
-        u = old[-1] - self.center
-        v = y - self.center
-        uu = float(u @ u)
-        if uu < 1e-28:
-            return None
-        if old.shape[1] == 2:
-            # complex multiplication by v/u
-            a = (v[0] * u[0] + v[1] * u[1]) / uu
-            b = (v[1] * u[0] - v[0] * u[1]) / uu
-            rel = old - self.center
-            out = np.empty_like(old)
-            out[:, 0] = a * rel[:, 0] - b * rel[:, 1]
-            out[:, 1] = b * rel[:, 0] + a * rel[:, 1]
-            cand = out + self.center
-        else:
-            nu = np.linalg.norm(u)
-            nv = np.linalg.norm(v)
-            axis = np.cross(u, v)
-            na = np.linalg.norm(axis)
-            rel = (old - self.center) * (nv / nu)
-            if na < 1e-14 * nu * nv:
-                cand = rel + self.center
-                if float(u @ v) < 0:
-                    return None  # antipodal flip: fall back to cold start
-            else:
-                axis = axis / na
-                cth = float(u @ v) / (nu * nv)
-                sth = na / (nu * nv)
-                cand = (
-                    rel * cth
-                    + np.cross(axis, rel) * sth
-                    + axis[None, :] * (rel @ axis)[:, None] * (1 - cth)
-                ) + self.center
-        cand[0] = self.center
-        cand[-1] = y
-        return cand
-
-    def _initial(self, y):
-        if self._last is not None:
-            cand = self._transport(y)
-            if cand is not None and self.domain.contains_many(cand).all():
-                return cand
-        chord = _chord_polyline(self.center, y, self.vertex_count)
-        if self.domain.contains_many(chord.vertices).all() and certify_segment(
-            self.domain, self.center, y
-        ):
-            return chord.vertices
-        seed = grid_init(self.domain, self.center, y, self.sconf)
-        return seed.resample(self.vertex_count).vertices
-
-    def solve(self, y):
-        """Full result for target y (path included)."""
-        y = np.asarray(y, dtype=float)
-        if float(np.linalg.norm(y - self.center)) < 1e-14:
-            return GeodesicResult(None, 0.0, 0.0, True, 0, [], {"degenerate": True})
-        V = Polyline(self._initial(y)).resample(self.vertex_count).vertices
-        history = []
-        V, f, it, conv, _ = _descend(
-            self.domain, V, self.ref, history,
-            relax_sweeps=self.relax_sweeps, measure=False,
-        )
-        self._last = V
-        path = Polyline(V)
-        return GeodesicResult(
-            path=path,
-            qh_length=float(f),
-            lower_bound_gap=float(f - path_point_lower_bound(self.domain, path)),
-            converged=bool(conv),
-            iterations=it,
-            refinement_history=history,
-            meta={"vertex_count": self.vertex_count, "warm": self._last is not None},
-        )
-
-    def eval(self, y):
-        return self.solve(y).qh_length
-
-    def eval_many(self, targets, reset=False):
-        """Values for an array of targets, swept in a warm-friendly order.
-
-        Targets are visited sorted by angle around the center (then radius)
-        and results returned in the original order, so the output does not
-        depend on the caller's ordering.
-        """
-        T = np.asarray(targets, dtype=float)
-        rel = T - self.center[None, :]
-        ang = np.arctan2(rel[:, 1], rel[:, 0])
-        rad = np.sqrt(np.sum(rel * rel, axis=1))
-        order = np.lexsort((rad, ang))
-        out = np.empty(T.shape[0])
-        for j in order:
-            if reset:
-                self._last = None
-            out[j] = self.eval(T[j])
-        return out

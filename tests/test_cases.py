@@ -71,6 +71,12 @@ def test_intersections_n3():
     assert np.allclose(v.measured["abscissae"], expect, atol=2e-3)
 
 
+def test_intersections_n4_reference_lengths():
+    v = verify_intersection_count(4)
+    assert v.measured["count"] == 4
+    assert v.measured["lengths"] == pytest.approx([11.526002515652829] * 2, rel=1e-12)
+
+
 def test_intersections_n2_punctured():
     v = verify_intersection_count(2)
     assert v.passed

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qhtk.cases import l2_halfcircle_length
 from qhtk.geometry import DomainViolationError, Polyline, half_plane, punctured_space, strip
 from qhtk.metric import (
     EvaluationError,
     QuadratureConfig,
-    adaptive_interval_integral,
+    adaptive_simpson,
     halfplane_distance_oracle,
     punctured_distance_oracle,
     qh_lower_bound,
@@ -131,27 +132,30 @@ def test_punctured_oracle_rejects_origin():
 
 # --- the scalar adaptive engine --------------------------------------------------
 
-def test_adaptive_interval_integral_log():
-    val = adaptive_interval_integral(lambda t: 1.0 / t, 1.0, np.e, abs_tol=1e-12, rel_tol=1e-12)
+def test_adaptive_simpson_log():
+    val = adaptive_simpson(lambda sid, t: 1.0 / t, [1.0], [np.e], 1e-12, 1e-12, 40)
+    assert val == pytest.approx(1.0, abs=1e-10)
+    # several intervals integrate in one pass and add up
+    val = adaptive_simpson(lambda sid, t: 1.0 / t, [1.0, 2.0], [2.0, np.e], 1e-12, 1e-12, 40)
     assert val == pytest.approx(1.0, abs=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
 @given(a=st.floats(0.1, 2.0), b=st.floats(2.5, 6.0), c=st.floats(-2, 2))
-def test_adaptive_interval_integral_poly(a, b, c):
-    val = adaptive_interval_integral(lambda t: 3 * t**2 + c, a, b, abs_tol=1e-11, rel_tol=1e-11)
+def test_adaptive_simpson_poly(a, b, c):
+    val = adaptive_simpson(lambda sid, t: 3 * t**2 + c, [a], [b], 1e-11, 1e-11, 40)
     assert val == pytest.approx((b**3 + c * b) - (a**3 + c * a), rel=1e-8, abs=1e-8)
 
 
-def test_midpoint_rule_agrees_with_simpson():
-    dom = half_plane()
+def test_adaptive_simpson_keeps_reference_lengths():
+    # values of the separate polyline and single-interval integrators that
+    # the shared one replaced; the refinement order is the same, so are the bits
     th = np.linspace(0.2, 2.5, 30)
     arc = Polyline(np.stack([np.cos(th), 1.5 + np.sin(th)], axis=1))
-    a = qh_path_length(dom, arc, QuadratureConfig())
-    b = qh_path_length(dom, arc, QuadratureConfig(rule="adaptive-midpoint"))
-    assert a == pytest.approx(b, abs=4e-8)
-
-
-def test_unknown_rule_rejected():
-    with pytest.raises(Exception):
-        QuadratureConfig(rule="gauss")
+    assert qh_path_length(half_plane(), arc) == 1.0214299332302064
+    th = np.linspace(0.0, np.pi, 40)
+    circle = Polyline(np.stack([np.cos(th), np.sin(th)], axis=1))
+    assert qh_path_length(punctured_space(), circle) == 3.14244239207697
+    expect = [3.646275797959263, 3.4850960651430927, 3.3760800951568735,
+              3.3119745857473313, 3.2719001907878904]
+    assert [l2_halfcircle_length(n) for n in range(2, 7)] == expect

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from qhtk.batch import solve_batch
-from qhtk.geometry import Polyline, half_plane, punctured_space, strip, symmetric_box, unit_ball
+from qhtk.geometry import (
+    Polyline,
+    half_plane,
+    prolongation_polygon,
+    punctured_space,
+    strip,
+    symmetric_box,
+    unit_ball,
+)
 from qhtk.metric import (
     QuadratureConfig,
     halfplane_distance_oracle,
@@ -14,6 +22,8 @@ from qhtk.solver import (
     NoPathError,
     RefinementConfig,
     SolverConfig,
+    _batch_objective,
+    _batch_relax,
     geodesic_multiplicity,
     grid_init,
     qh_distance,
@@ -259,3 +269,31 @@ def test_pnorm_halfspace_solve():
     assert res2.lower_bound_gap >= -1e-6
     # the p=4 unit ball is wider than the Euclidean one: cheaper crossing
     assert res2.qh_length < np.arccosh(3.0)
+
+
+@pytest.mark.parametrize("domain, x, y, length, iterations", [
+    (prolongation_polygon(), (-1.6, -0.5), (-0.6, -1.6), 3.783342181847246, 564),
+    (symmetric_box(), (-0.3, 0.2), (0.5, -0.4), 1.3057882070015017, 355),
+])
+def test_refine_path_reference_values(domain, x, y, length, iterations):
+    # reference values of the descent before its kernels were shared with
+    # the batch engine; the shared kernels must not move them
+    res = qh_distance(domain, np.array(x), np.array(y))
+    assert res.converged
+    assert res.iterations == iterations
+    assert res.qh_length == pytest.approx(length, rel=1e-12)
+
+
+def test_relax_counts_only_taken_moves():
+    # a sweep that moves few vertices must not be stopped by the negative
+    # gains of the vertices it left in place
+    a, b = np.array([-1.2470, 0.9403]), np.array([0.6336, 0.9403])
+    _, paths, _ = solve_batch(HP, a[None], b[None], vertex_count=33, relax_sweeps=0)
+    lengths = {}
+    for sweeps in (1, 30):
+        Vs = paths[0].vertices[None].copy()
+        _, vals = _batch_objective(HP, Vs)
+        _, f, _ = _batch_relax(HP, Vs, vals, np.ones(1, dtype=bool), sweeps)
+        lengths[sweeps] = f[0]
+    assert lengths[30] < lengths[1] - 5e-8
+    assert lengths[30] == pytest.approx(1.7629247955225202, rel=1e-12)
