@@ -8,11 +8,13 @@ drawn uniformly from the domain's window (unbounded sides at +-3), so
 some lie outside; the oracle does the same work there.
 
 The descent kernels are timed on straight paths inside the domain: one
-objective (fixed-node length), one finite-difference gradient and one
-relax sweep, for one path of 49 vertices (a single solve's final level)
-and for 600 paths of 17 vertices (a field batch).  The 600-path rows are
-taken on the planar presets only: a relax sweep over 600 paths in 3-D
-builds about 0.3 GB of candidate nodes, and no batch caller works in 3-D.
+objective (fixed-node length), one finite-difference gradient, one relax
+sweep and one iteration of the descent loop (``max_iterations=1``, no
+relax: the start objective, a gradient and the line search), for one
+path of 49 vertices (a single solve's final level) and for 600 paths of
+17 vertices (a field batch).  The 600-path rows are taken on the planar
+presets only: a relax sweep over 600 paths in 3-D builds about 0.3 GB of
+candidate nodes, and no batch caller works in 3-D.
 
 Each figure is the minimum over rounds of the mean time per call (about
 0.2 s of calls per round); every round sweeps all cases.  The rows go
@@ -40,9 +42,9 @@ import numpy as np
 import scipy
 
 import qhtk
-from qhtk import batch
+from qhtk import solver
 from qhtk.io import resolve_domain
-from qhtk.solver import DEFAULT_SOLVER
+from qhtk.solver import DEFAULT_SOLVER, RefinementConfig
 
 PRESETS = ("half-plane", "strip", "slab3d", "unit-ball", "box", "punctured-plane",
            "polygon-P", "omega-n:3", "omega-n:5", "l2-section:6", "starlike3d")
@@ -104,20 +106,23 @@ def inside_paths(domain, count, vertices, rng):
 
 
 def kernel_calls(domain, Vs):
-    """Zero-argument callables for the three descent kernels on Vs."""
-    _, vals = batch._batch_objective(domain, Vs)
-    relax_params = inspect.signature(batch._batch_relax).parameters
+    """Zero-argument callables for the descent kernels and one loop
+    iteration on Vs."""
+    _, vals = solver._batch_objective(domain, Vs)
+    relax_params = inspect.signature(solver._batch_relax).parameters
+    one_iteration = RefinementConfig(max_iterations=1)
 
     def relax_sweep():
         kw = {"domain": domain, "Vs": Vs.copy(), "vals": vals.copy(),
               "active": np.ones(Vs.shape[0], dtype=bool),
               "ref": DEFAULT_SOLVER.refinement, "sweeps": 1}
-        batch._batch_relax(**{k: v for k, v in kw.items() if k in relax_params})
+        solver._batch_relax(**{k: v for k, v in kw.items() if k in relax_params})
 
     return {
-        "objective": lambda: batch._batch_objective(domain, Vs),
-        "gradient": lambda: batch._batch_gradient(domain, Vs, vals),
+        "objective": lambda: solver._batch_objective(domain, Vs),
+        "gradient": lambda: solver._batch_gradient(domain, Vs, vals),
         "relax_sweep": relax_sweep,
+        "descent_iteration": lambda: solver._descend(domain, Vs, one_iteration),
     }
 
 

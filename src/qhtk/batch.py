@@ -1,114 +1,28 @@
-"""Batched polyline descent: many independent geodesic solves in lockstep.
+"""Many independent geodesic solves in lockstep.
 
 Distance fields, ball-membership sampling and directional-radius bisections
 need thousands of short solves; running them one at a time wastes nearly all
-the wall time on per-call overhead of small arrays.  Here a whole batch of
-paths shares every vectorized evaluation: the objective, the finite
-difference gradients, the Armijo backtracking (per-path step sizes via
-masks), and the checkerboard relaxation.  Endpoints are arbitrary per path.
-The kernels live in ``solver``, whose ``refine_path`` drives the same ones
-one path at a time.
+the wall time on per-call overhead of small arrays.  ``solve_batch`` hands a
+whole batch of paths, with arbitrary endpoints per path, to the descent loop
+of ``solver`` (the one ``refine_path`` runs on a single path), so every
+vectorized evaluation is shared, and then relaxes the paths that exit above
+the gradient tolerance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import DomainViolationError, Polyline, _resample_paths
+from .geometry import Polyline, _resample_paths
 from .solver import (
     DEFAULT_SOLVER,
-    RefinementConfig,
     SolverConfig,
-    _batch_gradient,
-    _batch_objective,
     _batch_relax,
-    _batch_screen,
+    _descend,
     _refine_schedule,
     grid_init,
     log_lower_bound,
 )
-
-
-def _batch_fixed_count(domain, Vs, ref: RefinementConfig, relax_sweeps):
-    """Non-monotone BB descent of every path, per-path steps and exits."""
-    P, m, dim = Vs.shape
-    f, vals = _batch_objective(domain, Vs)
-    if not np.isfinite(f).all():
-        raise DomainViolationError("batch initial path not strictly inside the domain")
-    recent = np.tile(f[:, None], (1, 5))
-    g_prev = np.zeros((P, m - 2, dim))
-    s_prev = np.zeros((P, m - 2, dim))
-    have_bb = np.zeros(P, dtype=bool)
-    active = np.ones(P, dtype=bool)
-    stagnant = np.zeros(P, dtype=int)
-    gnorm = np.full(P, np.inf)
-    for it in range(ref.max_iterations):
-        if not active.any():
-            break
-        idx = np.nonzero(active)[0]
-        W = Vs[idx]
-        g, d_in = _batch_gradient(domain, W, vals[idx])
-        gn = np.abs(g).max(axis=(1, 2))
-        gnorm[idx] = gn
-        hit = gn <= ref.gradient_tol
-        if hit.any():
-            active[idx[hit]] = False
-            keep = ~hit
-            idx, W, g, gn, d_in = idx[keep], W[keep], g[keep], gn[keep], d_in[keep]
-            if idx.size == 0:
-                continue
-        t_fresh = 0.25 * d_in.min(axis=1) / gn
-        y = g - g_prev[idx]
-        sy = (s_prev[idx] * y).sum(axis=(1, 2))
-        ss = (s_prev[idx] * s_prev[idx]).sum(axis=(1, 2))
-        t = np.where(have_bb[idx] & (sy > 0), ss / np.maximum(sy, 1e-300), t_fresh)
-        t = np.clip(t, 1e-14, 1e6)
-        g2 = (g * g).sum(axis=(1, 2))
-        fref = recent[idx].max(axis=1)
-        live = np.ones(idx.size, dtype=bool)
-        accepted = np.zeros(idx.size, dtype=bool)
-        Wn = W.copy()
-        fn = np.full(idx.size, np.inf)
-        vn = np.empty((idx.size, m - 1))  # segment values of the accepted trials
-        for _ in range(26):
-            rows = np.nonzero(live)[0]
-            trial = W[rows].copy()
-            trial[:, 1:-1] = W[rows][:, 1:-1] - t[rows][:, None, None] * g[rows]
-            ftr, vtr = _batch_objective(domain, trial)
-            okv = np.isfinite(ftr) & (ftr <= fref[rows] - 1e-4 * t[rows] * g2[rows])
-            if okv.any():
-                cert = _batch_screen(domain, trial[okv])
-                newly = rows[okv][cert]
-                Wn[newly] = trial[okv][cert]
-                fn[newly] = ftr[okv][cert]
-                vn[newly] = vtr[okv][cert]
-                accepted[newly] = True
-                live[newly] = False
-            if not live.any():
-                break
-            t[live] *= 0.5
-        fail = ~accepted
-        if fail.any():
-            active[idx[fail]] = False
-        ia = idx[accepted]
-        if ia.size:
-            g_prev[ia] = g[accepted]
-            s_prev[ia] = Wn[accepted][:, 1:-1] - W[accepted][:, 1:-1]
-            have_bb[ia] = True
-            rel = (f[ia] - fn[accepted]) / np.maximum(np.abs(fn[accepted]), 1e-300)
-            Vs[ia] = Wn[accepted]
-            f[ia] = fn[accepted]
-            vals[ia] = vn[accepted]
-            recent[ia] = np.roll(recent[ia], 1, axis=1)
-            recent[ia, 0] = f[ia]
-            stagnant[ia] = np.where(np.abs(rel) < ref.length_rel_tol, stagnant[ia] + 1, 0)
-            done = stagnant[ia] >= 3
-            active[ia[done]] = False
-    # only paths that did not reach the gradient tolerance need polishing
-    need = gnorm > ref.gradient_tol
-    if need.any():
-        Vs, f, _ = _batch_relax(domain, Vs, vals, need, relax_sweeps)
-    return Vs, f, gnorm
 
 
 def solve_batch(domain, starts, ends, s: SolverConfig = DEFAULT_SOLVER,
@@ -143,18 +57,18 @@ def solve_batch(domain, starts, ends, s: SolverConfig = DEFAULT_SOLVER,
     paths = [None] * P
     if work.size:
         Vs = np.ascontiguousarray(np.asarray(inits)[work])
-        if warm:
-            # warm re-solve at fixed count (bisection rounds, sweeps)
-            Vs, f, gn = _batch_fixed_count(domain, Vs, s.refinement, relax_sweeps)
-        else:
-            schedule = _refine_schedule(min(9, vertex_count), vertex_count)
-            for count in schedule:
-                if Vs.shape[1] != count:
-                    Vs = _resample_paths(Vs, count)
-                final = count == schedule[-1]
-                Vs, f, gn = _batch_fixed_count(
-                    domain, Vs, s.refinement, relax_sweeps if final else 1
-                )
+        # a warm start re-solves at its own count (bisection rounds, sweeps)
+        schedule = ([vertex_count] if warm
+                    else _refine_schedule(min(9, vertex_count), vertex_count))
+        for count in schedule:
+            if Vs.shape[1] != count:
+                Vs = _resample_paths(Vs, count)
+            Vs, f, vals, _, gn, _ = _descend(domain, Vs, s.refinement)
+            # only paths that did not reach the gradient tolerance need polishing
+            need = gn > s.refinement.gradient_tol
+            if need.any():
+                Vs, f, _ = _batch_relax(domain, Vs, vals, need,
+                                        relax_sweeps if count == schedule[-1] else 1)
         lengths[work] = f
         gnorms[work] = gn
         for j, p in enumerate(work):

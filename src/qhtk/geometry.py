@@ -226,10 +226,6 @@ class AxisPointFamily:
 
     start_index: int = 2
 
-    @staticmethod
-    def _coef(i):
-        return SQRT2 * (1.0 - 1.0 / np.asarray(i, dtype=float))
-
     def distance(self, X, norm):
         if norm.kind != "euclidean":
             raise InvalidInputError("axis point family requires the Euclidean norm")
@@ -243,10 +239,6 @@ class AxisPointFamily:
         c_tail = SQRT2 * (1.0 - 1.0 / (m + 1))
         best = np.minimum(best, nn + c_tail * c_tail)
         return np.sqrt(np.maximum(best, 0.0))
-
-    def tail_lower_bound(self, X, truncation):
-        c = SQRT2 * (1.0 - 1.0 / (truncation + 1))
-        return np.sqrt(np.sum(X * X, axis=1) + c * c)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ boundary acts as a natural barrier.
 
 Descent runs on a fixed-node composite Simpson objective (smooth in the
 vertex positions, so central differences give clean gradients); the final
-reported length is re-evaluated with the adaptive quadrature.
+reported length is re-evaluated with the adaptive quadrature.  One lockstep
+loop, ``_descend``, runs the descent on a batch of paths: ``refine_path``
+gives it one path, ``batch.solve_batch`` many.
 """
 
 from __future__ import annotations
@@ -315,95 +317,141 @@ def _kink_stationary(domain, V, segvals, d_in, tol, scales=(1e-6, 3e-4, 1e-2)):
     return bool(stationary.all())
 
 
-def _descend(domain, V, ref: RefinementConfig, history, relax_sweeps):
-    """Barzilai-Borwein gradient descent with non-monotone Armijo backtracking.
+def _armijo_trial(domain, W, step, f_max):
+    """Move every path of ``W`` by -step.  Returns the trial paths, their
+    lengths and segment values, and which trials are accepted: length at
+    most ``f_max`` and through the interiority screen."""
+    trial = W.copy()
+    trial[:, 1:-1] -= step
+    f, vals = _batch_objective(domain, trial)
+    ok = np.isfinite(f) & (f <= f_max)
+    if ok.any():
+        ok[ok] = _batch_screen(domain, trial[ok])
+    return trial, f, vals, ok
 
-    The reference value for the sufficient-decrease test is the max of the
-    last few objectives (BB steps are much faster when not forced strictly
-    monotone); the best iterate seen is what gets returned.  A rejected BB
-    step is retried from the fresh step 0.25 d_min / |g|.  The path runs
-    through the batch kernels as a batch of one: this scalar loop costs
-    less per iteration than the batch driver's masks and index arrays.
+
+def _descend(domain, Vs, ref: RefinementConfig):
+    """Nonmonotone Barzilai-Borwein descent of a batch of paths in lockstep.
+
+    Every path of ``Vs`` (shape (P, m, dim), endpoints pinned) takes its own
+    BB step s.s / s.y, or the fresh step 0.25 d_min / |g| on the first
+    iteration and when s.y <= 0, and tries it and up to 29 halvings of it
+    until the objective drops below the max of the path's last five values
+    by the Armijo margin and the trial path passes the interiority screen.  A
+    path exits when its gradient meets the tolerance, when no halving is
+    accepted (no float-representable decrease along -g: resolved to
+    noise), after three steps in a row of relative drop below
+    ``length_rel_tol``, or at ``max_iterations``.
+
+    No arithmetic mixes paths, so a path gives the same bits alone or
+    inside any batch.  The live paths are one contiguous block, compacted
+    only when some path exits.
+
+    Returns the best iterate of every path (vertices, lengths, segment
+    values), the iterations each ran, the gradient norm of its last
+    iteration, and the record: for every iteration in which some path
+    improved on its best, the block's path indices, lengths and the mask
+    of the paths that improved.
     """
-    fs, segvals = _batch_objective(domain, V[None])
-    f = float(fs[0])
-    if not np.isfinite(f):
+    P, m, dim = Vs.shape
+    n = (m - 2) * dim
+    f, vals = _batch_objective(domain, Vs)
+    if not np.isfinite(f).all():
         raise DomainViolationError("initial path is not strictly inside the domain")
-    V_best, f_best, vals_best = V, f, segvals
-    recent = [f]
-    grad_prev = None
-    step_prev = None
-    it = 0
-    gnorm = np.inf
-    stagnant = 0
-    while it < ref.max_iterations:
-        it += 1
-        g, d_in = _batch_gradient(domain, V[None], segvals)
-        g = g[0]
-        gnorm = float(np.abs(g).max())
-        if gnorm <= ref.gradient_tol:
-            break
-        t_fresh = 0.25 * float(d_in.min()) / gnorm
-        if grad_prev is not None and step_prev is not None:
-            y = (g - grad_prev).ravel()
-            s = step_prev.ravel()
-            sy = float(s @ y)
-            ss = float(s @ s)
-            t = ss / sy if sy > 0 else t_fresh
-        else:
-            t = t_fresh
-        t = float(np.clip(t, 1e-14, 1e6))
-        g2 = float((g * g).sum())
-        f_ref = max(recent)
-        accepted = False
-        for trial in range(2):
-            tt = t if trial == 0 else t_fresh
-            for _ in range(30):
-                Vn = V.copy()
-                Vn[1:-1] = V[1:-1] - tt * g
-                fs, segn = _batch_objective(domain, Vn[None])
-                fn = float(fs[0])
-                if (
-                    np.isfinite(fn)
-                    and fn <= f_ref - 1e-4 * tt * g2
-                    and _batch_screen(domain, Vn[None])[0]
-                ):
-                    accepted = True
-                    break
-                tt *= 0.5
-            if accepted:
+    V_out, f_out, vals_out = np.empty_like(Vs), np.empty_like(f), np.empty_like(vals)
+    iterations = np.empty(P, dtype=int)
+    gnorm = np.empty(P)
+    record = []
+    # the live block
+    idx = np.arange(P)
+    W, fW, vW = Vs, f, vals
+    Wb, fb, vb = Vs.copy(), f.copy(), vals.copy()
+    recent = np.repeat(f[:, None], 5, axis=1)
+    stagnant = np.zeros(P, dtype=int)
+    g_prev = s_prev = np.zeros((P, m - 2, dim))
+
+    def retire(out, it, gn):
+        """Write the best iterates of the paths in ``out`` and drop them."""
+        nonlocal idx, W, fW, vW, Wb, fb, vb, recent, stagnant, g_prev, s_prev
+        gone = idx[out]
+        iterations[gone] = it
+        gnorm[gone] = gn[out]
+        V_out[gone], f_out[gone], vals_out[gone] = Wb[out], fb[out], vb[out]
+        keep = ~out
+        idx, W, fW, vW, Wb, fb, vb, recent, stagnant, g_prev, s_prev = (
+            a[keep] for a in (idx, W, fW, vW, Wb, fb, vb, recent, stagnant, g_prev, s_prev))
+        return keep
+
+    for it in range(1, ref.max_iterations + 1):
+        g, d_in = _batch_gradient(domain, W, vW)
+        gn = np.abs(g).max(axis=(1, 2))
+        at_tol = gn <= ref.gradient_tol
+        if at_tol.any():
+            keep = retire(at_tol, it, gn)
+            if idx.size == 0:
                 break
-        if not accepted:
-            # no float-representable decrease along -g: resolved to noise
-            break
-        grad_prev = g
-        step_prev = Vn[1:-1] - V[1:-1]
-        rel_drop = (f - fn) / max(abs(fn), 1e-300)
-        V, f, segvals = Vn, fn, segn
-        recent.append(f)
-        if len(recent) > 5:
-            recent.pop(0)
-        if f < f_best:
-            if not history or f < history[-1]:
-                history.append(f)
-            V_best, f_best, vals_best = V, f, segvals
-        stagnant = stagnant + 1 if abs(rel_drop) < ref.length_rel_tol else 0
-        if stagnant >= 3:
-            break
-    # polish: per-vertex relaxation finishes what shared-step BB crawls on
-    Vr, fr, vr = _batch_relax(domain, V_best[None].copy(), vals_best.copy(),
-                              np.ones(1, dtype=bool), relax_sweeps)
-    if fr[0] < f_best:
-        V_best, f_best, vals_best = Vr[0], float(fr[0]), vr
-        if not history or f_best < history[-1]:
-            history.append(f_best)
-    # measure optimality at the iterate actually returned
-    g_best, d_best = _batch_gradient(domain, V_best[None], vals_best)
-    gnorm = float(np.abs(g_best).max())
-    converged = gnorm <= ref.gradient_tol or _kink_stationary(
-        domain, V_best, vals_best[0], d_best[0], ref.gradient_tol
-    )
-    return V_best, f_best, it, converged, gnorm
+            g, d_in, gn = g[keep], d_in[keep], gn[keep]
+        t = 0.25 * d_in.min(axis=1) / gn
+        # a path that takes no step exits, so every live path has stepped in
+        # each earlier iteration: it has a BB pair after the first, and its
+        # last five lengths fill the ring ``recent`` in step with ``it``
+        if it > 1:
+            # stacked dot products sum each path in the same order at any
+            # batch size
+            s = s_prev.reshape(-1, 1, n)
+            sy = np.matmul(s, (g - g_prev).reshape(-1, n, 1))[:, 0, 0]
+            ss = np.matmul(s, s.reshape(-1, n, 1))[:, 0, 0]
+            np.divide(ss, sy, out=t, where=sy > 0)
+        t = np.minimum(np.maximum(t, 1e-14), 1e6)
+        # the step and the Armijo decrease 1e-4 t |g|^2 halve together, exactly
+        step = t[:, None, None] * g
+        decrease = 1e-4 * t * (g * g).sum(axis=(1, 2))
+        f_ref = recent.max(axis=1)
+        # every path tries its full step; the rejected ones backtrack on
+        # copies of their rows, dropped as they are accepted
+        Wn, fn, vn, ok = _armijo_trial(domain, W, step, f_ref - decrease)
+        if not ok.all():
+            todo = np.flatnonzero(~ok)
+            Wt, step, f_ref, decrease = W[todo], step[todo], f_ref[todo], decrease[todo]
+            for _ in range(29):
+                step *= 0.5
+                decrease *= 0.5
+                trial, ft, vt, ok = _armijo_trial(domain, Wt, step, f_ref - decrease)
+                if ok.any():
+                    hit, rest = todo[ok], ~ok
+                    Wn[hit], fn[hit], vn[hit] = trial[ok], ft[ok], vt[ok]
+                    todo, Wt, step, f_ref, decrease = (
+                        a[rest] for a in (todo, Wt, step, f_ref, decrease))
+                    if todo.size == 0:
+                        break
+            if todo.size:
+                # no halving accepted: no float-representable decrease along -g
+                failed = np.zeros(idx.size, dtype=bool)
+                failed[todo] = True
+                keep = retire(failed, it, gn)
+                if idx.size == 0:
+                    break
+                g, gn, Wn, fn, vn = g[keep], gn[keep], Wn[keep], fn[keep], vn[keep]
+        g_prev, s_prev = g, Wn[:, 1:-1] - W[:, 1:-1]
+        rel = (fW - fn) / np.maximum(np.abs(fn), 1e-300)
+        W, fW, vW = Wn, fn, vn
+        recent[:, it % 5] = fW
+        better = fW < fb
+        if better.all():
+            # iterates are never written in place, so the best may share them
+            record.append((idx, fW, better))
+            Wb, fb, vb = W, fW, vW
+        elif better.any():
+            record.append((idx, fW, better))
+            Wb = np.where(better[:, None, None], W, Wb)
+            fb = np.where(better, fW, fb)
+            vb = np.where(better[:, None], vW, vb)
+        stagnant = (stagnant + 1) * (np.abs(rel) < ref.length_rel_tol)
+        if it == ref.max_iterations or stagnant.max() >= 3:
+            retire((stagnant >= 3) | (it == ref.max_iterations), it, gn)
+            if idx.size == 0:
+                break
+    return V_out, f_out, vals_out, iterations, gnorm, record
 
 
 def _refine_schedule(start, budget):
@@ -442,18 +490,29 @@ def refine_path(domain, init: Polyline, s: SolverConfig = DEFAULT_SOLVER,
     history = []
     start = _certified_start(domain, init, start_count, s.vertex_budget)
     V = init.resample(start).vertices
+    tol = s.refinement.gradient_tol
     total_iter = 0
-    converged = False
-    gnorm = np.inf
     schedule = _refine_schedule(start, s.vertex_budget)
     for count in schedule:
         V = Polyline(V).resample(count).vertices
-        final = count == schedule[-1]
-        V, f, it, converged, gnorm = _descend(
-            domain, V, s.refinement, history, relax_sweeps=30 if final else 5
-        )
-        total_iter += it
-    if not converged and gnorm > 50.0 * s.refinement.gradient_tol:
+        Vb, fb, vb, it, _, record = _descend(domain, V[None], s.refinement)
+        total_iter += int(it[0])
+        for _, best, _ in record:  # one path: every entry improves it
+            if not history or best[0] < history[-1]:
+                history.append(float(best[0]))
+        # polish: per-vertex relaxation finishes what shared-step BB crawls on
+        Vr, fr, vr = _batch_relax(domain, Vb.copy(), vb.copy(), np.ones(1, dtype=bool),
+                                  30 if count == schedule[-1] else 5)
+        if fr[0] < fb[0]:
+            Vb, vb = Vr, vr
+            if not history or fr[0] < history[-1]:
+                history.append(float(fr[0]))
+        # measure optimality at the iterate actually returned
+        g, d_in = _batch_gradient(domain, Vb, vb)
+        gnorm = float(np.abs(g).max())
+        converged = gnorm <= tol or _kink_stationary(domain, Vb[0], vb[0], d_in[0], tol)
+        V = Vb[0]
+    if not converged and gnorm > 50.0 * tol:
         raise SolverStalledError(
             f"descent cannot progress: |grad|_inf={gnorm:.3e} after "
             f"{total_iter} iterations at {s.vertex_budget} vertices"

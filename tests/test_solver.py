@@ -249,6 +249,20 @@ def test_batch_matches_sequential():
         assert paths[i] is not None
 
 
+def test_batch_composition_keeps_bits():
+    # no arithmetic mixes the paths of a batch, so a pair solved alone
+    # matches the same pair inside a batch to the bit
+    rng = np.random.default_rng(11)
+    A = np.stack([rng.uniform(-1.5, 1.5, 100), rng.uniform(0.4, 2.0, 100)], axis=1)
+    B = np.stack([rng.uniform(-1.5, 1.5, 100), rng.uniform(0.4, 2.0, 100)], axis=1)
+    L, paths, G = solve_batch(HP, A, B)
+    for j in (0, 57):
+        L1, paths1, G1 = solve_batch(HP, A[j:j + 1], B[j:j + 1])
+        assert L1[0] == L[j]
+        assert G1[0] == G[j]
+        assert np.array_equal(paths1[0].vertices, paths[j].vertices)
+
+
 def test_box_solve_converges_across_seams():
     res = qh_distance(symmetric_box(), np.array([-0.3, 0.2]), np.array([0.5, -0.4]))
     assert res.converged
@@ -271,9 +285,21 @@ def test_pnorm_halfspace_solve():
     assert res2.qh_length < np.arccosh(3.0)
 
 
+# refinement history of each reference solve, keyed by its start point:
+# (entries, last entry)
+REFERENCE_HISTORY = {
+    (-1.6, -0.5): (433, 3.783342186445954),
+    (-0.3, 0.2): (203, 1.30578557658793),
+    (0.22, -0.47): (286, 1.3793657709894034),
+}
+
+
 @pytest.mark.parametrize("domain, x, y, length, iterations", [
     (prolongation_polygon(), (-1.6, -0.5), (-0.6, -1.6), 3.783342181847246, 564),
     (symmetric_box(), (-0.3, 0.2), (0.5, -0.4), 1.3057882070015017, 355),
+    # the last level's final iterate is worse than its best one, which the
+    # descent must return
+    (strip(), (0.22, -0.47), (0.97, 0.31), 1.3793687397111027, 524),
 ])
 def test_refine_path_reference_values(domain, x, y, length, iterations):
     # reference values of the descent before its kernels were shared with
@@ -282,6 +308,9 @@ def test_refine_path_reference_values(domain, x, y, length, iterations):
     assert res.converged
     assert res.iterations == iterations
     assert res.qh_length == pytest.approx(length, rel=1e-12)
+    entries, last = REFERENCE_HISTORY[x]
+    assert len(res.refinement_history) == entries
+    assert res.refinement_history[-1] == pytest.approx(last, rel=1e-12)
 
 
 def test_relax_counts_only_taken_moves():
