@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
-"""Time the oracle and the descent kernels per preset domain into BENCH_3.json.
+"""Time the oracle and the descent kernels per preset domain into BENCH_9.json.
 
 For each preset, ``DomainSpec.depth_many`` (``depth_many`` of the star-like
 set) is timed on N = 49 points, the median point count of a single-path
 solver call, and on N = 100,000 points, a large field batch.  Points are
 drawn uniformly from the domain's window (unbounded sides at +-3), so
 some lie outside; the oracle does the same work there.
+
+The fixed-node segment kernel ``_segment_values`` is timed per segment on
+the planar presets at n = 48 (one 49-vertex path), 9,600 (600 paths of 17
+vertices) and 168,000 segments (the gradient call of a 1,400-path field
+chunk at 17 vertices), on straight segments inside the domain.
 
 The descent kernels are timed on straight paths inside the domain: one
 objective (fixed-node length), one finite-difference gradient, one relax
@@ -25,7 +30,7 @@ also runs against a tree whose relax kernel does not take segment values.
 
 Usage:
     PYTHONPATH=src python3 scripts/bench_layers.py [--label change]
-        [--out BENCH_3.json] [--repeat 7]
+        [--out BENCH_9.json] [--repeat 7]
 """
 
 import argparse
@@ -49,6 +54,7 @@ from qhtk.solver import DEFAULT_SOLVER, RefinementConfig
 PRESETS = ("half-plane", "strip", "slab3d", "unit-ball", "box", "punctured-plane",
            "polygon-P", "omega-n:3", "omega-n:5", "l2-section:6", "starlike3d")
 SIZES = (49, 100_000)
+SEGMENTS = (48, 9_600, 168_000)
 PATHS = ((1, 49), (600, 17))  # (paths, vertices per path)
 
 
@@ -142,7 +148,7 @@ def time_per_call(fn, calls):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="BENCH_3.json")
+    ap.add_argument("--out", default="BENCH_9.json")
     ap.add_argument("--label", default="change", help="key of this run's rows in the file")
     ap.add_argument("--repeat", type=int, default=7, help="rounds over all cases")
     args = ap.parse_args()
@@ -154,6 +160,13 @@ def main():
             X = sample_points(domain, n, rng)
             fn = lambda d=domain, X=X: d.depth_many(X)  # noqa: E731
             cases.append((name, f"N={n}", "depth_many_ns_per_point", fn, calls_per_sample(fn), n))
+        if domain.dimension == 2:
+            for n in SEGMENTS:
+                S = inside_paths(domain, n, 2, rng)
+                A, B = np.ascontiguousarray(S[:, 0]), np.ascontiguousarray(S[:, 1])
+                fn = lambda d=domain, A=A, B=B: solver._segment_values(d, A, B)  # noqa: E731
+                cases.append((name, f"n={n}", "segment_values_ns_per_segment", fn,
+                              calls_per_sample(fn), n))
         for paths, vertices in PATHS:
             if paths > 1 and domain.dimension != 2:
                 continue

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Polyline, _resample_paths
+from .geometry import InvalidInputError, Polyline, _resample_paths
 from .solver import (
     DEFAULT_SOLVER,
     SolverConfig,
@@ -36,6 +36,8 @@ def solve_batch(domain, starts, ends, s: SolverConfig = DEFAULT_SOLVER,
     final polylines: the batch grade trades a smooth O(1/V^2) bias for
     speed, which level-set consumers tolerate by construction.
     """
+    if vertex_count < 3:
+        raise InvalidInputError("vertex_count must be at least 3")
     starts = np.asarray(starts, dtype=float)
     ends = np.asarray(ends, dtype=float)
     P = starts.shape[0]

@@ -7,9 +7,12 @@ vertices with a Barzilai-Borwein scaled gradient step and a backtracking
 line search that never leaves the domain; the weight blowing up near the
 boundary acts as a natural barrier.
 
-Descent runs on a fixed-node composite Simpson objective (smooth in the
-vertex positions, so central differences give clean gradients); the final
-reported length is re-evaluated with the adaptive quadrature.  One lockstep
+Descent runs on a fixed-node composite Simpson objective, smooth in the
+vertex positions except at weight seams, where the boundary distance
+switches its nearest piece; the finite-difference gradient takes the
+steeper downhill one-sided difference per coordinate, so it is the slope
+on smooth parts and vanishes at a kink minimum.  The final reported length
+is re-evaluated with the adaptive quadrature.  One lockstep
 loop, ``_descend``, runs the descent on a batch of paths: ``refine_path``
 gives it one path, ``batch.solve_batch`` many.
 """
@@ -110,14 +113,22 @@ def _segment_values(domain, A, B):
 
     Returns per-segment values with inf where a quadrature node leaves the
     domain.
+
+    The nodes are laid out node-major, (7, n, dim), so every elementwise
+    pass runs over a long axis instead of broadcasting along a trailing
+    axis of length dim.  The Simpson contraction stays on the (n, 7)
+    layout: it sums each segment's seven terms in the same order at any n.
     """
     seg = B - A
     lens = domain.norm.eval(seg)
-    pts = A[:, None, :] + seg[:, None, :] * _NODES[None, :, None]
-    d = domain.depth_many(pts.reshape(-1, A.shape[1])).reshape(A.shape[0], 7)
-    bad = (d <= 0.0).any(axis=1)
-    d = np.where(d <= 0.0, 1.0, d)
-    vals = lens * ((1.0 / d) @ _WEIGHTS)
+    pts = _NODES[:, None, None] * seg
+    pts += A
+    r = domain.depth_many(pts.reshape(-1, A.shape[1])).reshape(7, A.shape[0])
+    outside = r <= 0.0
+    bad = outside.any(axis=0)
+    r[outside] = 1.0
+    np.reciprocal(r, out=r)
+    vals = lens * (np.ascontiguousarray(r.T) @ _WEIGHTS)
     vals[bad] = np.inf
     return vals
 
@@ -191,11 +202,12 @@ def _batch_screen(domain, Vs):
     failing the budget gets the bisection certificate."""
     P, m, dim = Vs.shape
     seg = Vs[:, 1:] - Vs[:, :-1]
-    pts = Vs[:, :-1][:, :, None, :] + seg[:, :, None, :] * _SCREEN_NODES[None, None, :, None]
-    d = domain.depth_many(pts.reshape(-1, dim)).reshape(P, m - 1, 5)
-    out = (d > 0.0).all(axis=(1, 2))
+    pts = _SCREEN_NODES[:, None, None, None] * seg  # node-major (5, P, m-1, dim)
+    pts += Vs[:, :-1]
+    d = domain.depth_many(pts.reshape(-1, dim)).reshape(5, P, m - 1)
+    out = (d > 0.0).all(axis=(0, 2))
     slen = np.sqrt((seg * seg).sum(axis=2)) / 4.0
-    risky = ~(d[:, :, :-1] + d[:, :, 1:] > slen[:, :, None]).all(axis=2)
+    risky = ~(d[:-1] + d[1:] > slen).all(axis=0)
     for p, i in zip(*np.nonzero(out[:, None] & risky)):
         if out[p] and not certify_segment(domain, Vs[p, i], Vs[p, i + 1]):
             out[p] = False

@@ -86,6 +86,48 @@ def test_norm_axioms(p, v, w, lam):
         assert np.all(a == 0)
 
 
+def reference_norm(norm, v):
+    """Norm by ``np.sum`` over the last axis, with the same underflow rescue."""
+    v = np.asarray(v, dtype=float)
+    if norm.kind == "euclidean":
+        out = np.sqrt(np.sum(v * v, axis=-1))
+    else:
+        out = np.sum(np.abs(v) ** norm.p, axis=-1) ** (1.0 / norm.p)
+    zero = out == 0.0
+    if not zero.any():
+        return out
+    vmax = np.max(np.abs(v), axis=-1)
+    bad = zero & (vmax > 0.0)
+    if np.any(bad):
+        scaled = reference_norm(norm, v[bad] / vmax[bad, ..., None] if v.ndim > 1 else v / vmax)
+        if v.ndim > 1:
+            out = np.where(bad, 0.0, out)
+            out[bad] = vmax[bad] * scaled
+        else:
+            out = vmax * scaled
+    return out
+
+
+@pytest.mark.parametrize("norm", [NormSpec(), NormSpec("p", 1.5), NormSpec("p", 4.0)],
+                         ids=["euclidean", "p1.5", "p4"])
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_norm_column_sums_match_np_sum(norm, dim):
+    # up to 7 coordinates np.sum adds a row in sequence, as eval does
+    rng = np.random.default_rng(dim)
+    V = rng.normal(size=(2000, dim)) * 10.0 ** rng.uniform(-8, 8, size=(2000, 1))
+    V[:5] = 0.0
+    V[5:8, 0] = -0.0
+    # |v|^p underflows to 0 (1e-170 for the Euclidean norm): rescued rows
+    tiny = 10.0 ** (-340.0 / norm.exponent) * rng.normal(size=(7, dim))
+    for X in (V, V[:, None, :], np.vstack([V, tiny]), tiny, V[9], tiny[0]):
+        got = norm.eval(X)
+        ref = reference_norm(norm, X)
+        assert np.shape(got) == np.shape(ref)
+        assert np.array_equal(got, ref)
+    assert (np.sum(np.abs(tiny) ** norm.exponent, axis=-1) == 0.0).all()
+    assert (norm.eval(tiny) > 0.0).all()
+
+
 # --- membership and boundary distance ---------------------------------------
 
 def test_strip_contains_far_point():

@@ -3,7 +3,11 @@ import pytest
 
 from qhtk.batch import solve_batch
 from qhtk.geometry import (
+    DomainSpec,
+    InvalidInputError,
+    NormSpec,
     Polyline,
+    certify_segment,
     half_plane,
     prolongation_polygon,
     punctured_space,
@@ -22,12 +26,18 @@ from qhtk.solver import (
     NoPathError,
     RefinementConfig,
     SolverConfig,
+    _NODES,
+    _SCREEN_NODES,
+    _WEIGHTS,
     _batch_objective,
     _batch_relax,
+    _batch_screen,
+    _segment_values,
     geodesic_multiplicity,
     grid_init,
     qh_distance,
 )
+from qhtk.io import resolve_domain
 
 HP = half_plane()
 PP = punctured_space()
@@ -326,3 +336,120 @@ def test_relax_counts_only_taken_moves():
         lengths[sweeps] = f[0]
     assert lengths[30] < lengths[1] - 5e-8
     assert lengths[30] == pytest.approx(1.7629247955225202, rel=1e-12)
+
+
+def test_solve_batch_rejects_short_paths():
+    a, b = np.array([[0.0, 1.0]]), np.array([[1.0, 1.0]])
+    for count in (2, 1, 0):
+        with pytest.raises(InvalidInputError):
+            solve_batch(HP, a, b, vertex_count=count)
+
+
+# --- node-major kernels against their row-major reference ------------------
+
+def reference_segment_values(domain, A, B):
+    """Row-major (n, 7, dim) form of the fixed-node Simpson kernel."""
+    seg = B - A
+    lens = domain.norm.eval(seg)
+    pts = A[:, None, :] + seg[:, None, :] * _NODES[None, :, None]
+    d = domain.depth_many(pts.reshape(-1, A.shape[1])).reshape(A.shape[0], 7)
+    bad = (d <= 0.0).any(axis=1)
+    d = np.where(d <= 0.0, 1.0, d)
+    vals = lens * ((1.0 / d) @ _WEIGHTS)
+    vals[bad] = np.inf
+    return vals
+
+
+def reference_screen(domain, Vs):
+    """Row-major (P, m-1, 5, dim) form of the interiority screen."""
+    P, m, dim = Vs.shape
+    seg = Vs[:, 1:] - Vs[:, :-1]
+    pts = Vs[:, :-1][:, :, None, :] + seg[:, :, None, :] * _SCREEN_NODES[None, None, :, None]
+    d = domain.depth_many(pts.reshape(-1, dim)).reshape(P, m - 1, 5)
+    out = (d > 0.0).all(axis=(1, 2))
+    slen = np.sqrt((seg * seg).sum(axis=2)) / 4.0
+    risky = ~(d[:, :, :-1] + d[:, :, 1:] > slen[:, :, None]).all(axis=2)
+    for p, i in zip(*np.nonzero(out[:, None] & risky)):
+        if out[p] and not certify_segment(domain, Vs[p, i], Vs[p, i + 1]):
+            out[p] = False
+    return out
+
+
+PLANAR = ("half-plane", "strip", "box", "punctured-plane", "polygon-P", "omega-n:3",
+          "omega-n:5")
+
+
+def _kernel_domains():
+    doms = {name: resolve_domain(name) for name in PLANAR}
+    doms.update({f"{name}/p4": DomainSpec(d.dimension, d.primitives, d.removals,
+                                         norm=NormSpec("p", 4.0))
+                 for name, d in list(doms.items())})
+    doms.update({name: resolve_domain(name) for name in ("unit-ball", "slab3d")})
+    return doms
+
+
+KERNEL_DOMAINS = _kernel_domains()
+
+
+def _window(domain, pad=0.0):
+    lo, hi = domain.window_hint()
+    lo = np.array([-2.0 if b is None else b for b in lo]) - pad
+    hi = np.array([2.0 if b is None else b for b in hi]) + pad
+    return lo, hi
+
+
+def _interior_points(domain, n, rng):
+    lo, hi = _window(domain)
+    X = np.empty((0, domain.dimension))
+    while X.shape[0] < n:
+        Y = rng.uniform(lo, hi, size=(4 * n, domain.dimension))
+        X = np.concatenate([X, Y[domain.depth_many(Y) > 1e-3]])
+    return X[:n]
+
+
+def _outside_point(domain, rng):
+    """A point of zero or negative depth (the origin for the punctured plane)."""
+    lo, hi = _window(domain, pad=0.5)
+    Y = np.vstack([np.zeros(domain.dimension), rng.uniform(lo, hi, (200, domain.dimension))])
+    return Y[domain.depth_many(Y) <= 0.0][-1]
+
+
+def _steps(domain, X, rng):
+    """Random steps of up to 1.5x the boundary distance: some leave the domain."""
+    u = rng.normal(size=X.shape)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return rng.uniform(0.05, 1.5, size=(X.shape[0], 1)) * domain.depth_many(X)[:, None] * u
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_DOMAINS))
+def test_segment_values_match_row_major_reference(name):
+    domain = KERNEL_DOMAINS[name]
+    rng = np.random.default_rng(21)
+    for n in (2, 48, 9600):
+        A = _interior_points(domain, n, rng)
+        step = _steps(domain, A, rng)
+        step[0] *= 0.5  # shorter than the boundary distance: stays inside
+        B = A + step
+        B[-1] = _outside_point(domain, rng)
+        got = _segment_values(domain, A, B)
+        assert np.array_equal(got, reference_segment_values(domain, A, B))
+        assert got[-1] == np.inf and np.isfinite(got[0])
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_DOMAINS))
+def test_screen_matches_row_major_reference(name):
+    domain = KERNEL_DOMAINS[name]
+    rng = np.random.default_rng(22)
+    for P, m in ((1, 3), (3, 17), (600, 17)):
+        X = _interior_points(domain, P, rng)
+        # random walks whose steps scale with the depth at the start
+        Vs = np.empty((P, m, domain.dimension))
+        Vs[:, 0] = X
+        for j in range(1, m):
+            Vs[:, j] = Vs[:, j - 1] + 0.25 * _steps(domain, X, rng)
+        if P > 1:
+            Vs[-1, m // 2] = _outside_point(domain, rng)
+        got = _batch_screen(domain, Vs)
+        assert np.array_equal(got, reference_screen(domain, Vs))
+        if P > 1:
+            assert got.any() and not got[-1]
