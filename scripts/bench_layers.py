@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the oracle and the descent kernels per preset domain into BENCH_9.json.
+"""Time the oracle, the descent kernels and the layers above them into BENCH_11.json.
 
 For each preset, ``DomainSpec.depth_many`` (``depth_many`` of the star-like
 set) is timed on N = 49 points, the median point count of a single-path
@@ -21,16 +21,32 @@ path of 49 vertices (a single solve's final level) and for 600 paths of
 presets only: a relax sweep over 600 paths in 3-D builds about 0.3 GB of
 candidate nodes, and no batch caller works in 3-D.
 
+Above the kernels:
+- ``grid_dijkstra_ms``: one ``_GridGraph`` build plus its Dijkstra at the
+  default lattice resolution, for the benchmark's polygon-P pair and the
+  omega-5 axis endpoints;
+- ``qh_path_length_ms``: one adaptive-quadrature length of a straight
+  49-vertex path inside each planar preset;
+- ``ball_contour_ms``: one marching-squares contour of the strip field of
+  the benchmark's ``field`` workload on seed 1 (``bench/workloads.py``);
+- ``ray_limits_us``: the boundary ray limits of 64 directions from the
+  centre of the unit ball and of the box;
+- ``induced_norm_build_s``: one ``InducedNorm`` construction on the box
+  at r = 1 with a 16-knot table and 10 precheck pairs, as the benchmark's
+  ``radii`` workload builds it.
+
 Each figure is the minimum over rounds of the mean time per call (about
-0.2 s of calls per round); every round sweeps all cases.  The rows go
-under ``--label`` in the output file, next to the rows of other labels
-already there, so one file holds a before and an after run on the same
-machine.  The relax kernel is called by parameter name, so the script
-also runs against a tree whose relax kernel does not take segment values.
+0.2 s of calls per round, at least one call); every round sweeps all
+cases.  Figures keep four significant digits.  The rows go under
+``--label`` in the output file, next to the rows of other labels already
+there, so one file holds a before and an after run on the same machine.
+The relax kernel is called by parameter name and the ray limits fall back
+to the one-ray ``_boundary_ray_limit``, so the script also runs against
+older trees.
 
 Usage:
     PYTHONPATH=src python3 scripts/bench_layers.py [--label change]
-        [--out BENCH_9.json] [--repeat 7]
+        [--out BENCH_11.json] [--repeat 7]
 """
 
 import argparse
@@ -40,6 +56,7 @@ import json
 import os
 import platform
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -47,8 +64,11 @@ import numpy as np
 import scipy
 
 import qhtk
-from qhtk import solver
+from qhtk import ball, renorm, solver
+from qhtk.cases import omega_endpoints
+from qhtk.geometry import Polyline
 from qhtk.io import resolve_domain
+from qhtk.metric import qh_path_length
 from qhtk.solver import DEFAULT_SOLVER, RefinementConfig
 
 PRESETS = ("half-plane", "strip", "slab3d", "unit-ball", "box", "punctured-plane",
@@ -56,6 +76,10 @@ PRESETS = ("half-plane", "strip", "slab3d", "unit-ball", "box", "punctured-plane
 SIZES = (49, 100_000)
 SEGMENTS = (48, 9_600, 168_000)
 PATHS = ((1, 49), (600, 17))  # (paths, vertices per path)
+GRID_PAIRS = {  # lattice seeds: the benchmark's polygon-P pair, omega-5's axis ends
+    "polygon-P": (np.array([-1.6, 0.5]), np.array([-0.6, 1.6])),
+    "omega-n:5": omega_endpoints(5),
+}
 
 
 def machine_facts():
@@ -132,6 +156,41 @@ def kernel_calls(domain, Vs):
     }
 
 
+def ray_limits(domain, origin, U):
+    if hasattr(ball, "_boundary_ray_limits"):
+        return ball._boundary_ray_limits(domain, origin, U)
+    return np.array([ball._boundary_ray_limit(domain, origin, u) for u in U])
+
+
+def layer_calls(name, domain, rng):
+    """(size, key, zero-argument callable, divisor to ns) above the kernels."""
+    out = []
+    if name in GRID_PAIRS:
+        x, y = GRID_PAIRS[name]
+        res = DEFAULT_SOLVER.grid_resolution
+        out.append((f"res={res:g}", "grid_dijkstra_ms",
+                    lambda: solver._GridGraph(domain, x, y, res).shortest_path(), 1e6))
+    if domain.dimension == 2:
+        path = Polyline(inside_paths(domain, 1, 49, rng)[0])
+        out.append(("m=49", "qh_path_length_ms", lambda: qh_path_length(domain, path), 1e6))
+    if name in ("unit-ball", "box"):
+        th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        U = np.stack([np.cos(th), np.sin(th)], axis=1)
+        out.append(("K=64", "ray_limits_us", lambda: ray_limits(domain, np.zeros(2), U), 1e3))
+    if name == "box":
+        out.append(("r=1,table=16,pairs=10", "induced_norm_build_s",
+                    lambda: renorm.InducedNorm(domain, 1.0, table=16, precheck_pairs=10), 1e9))
+    if name == "strip":
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+        from workloads import Field
+
+        p = next(p for p in Field(1).pieces if p.label == "strip")
+        field = ball.distance_field(p.domain, p.center, p.window, p.resolution)
+        out.append((f"res={p.resolution}", "ball_contour_ms",
+                    lambda: ball.ball_contour(field, p.level), 1e6))
+    return out
+
+
 def calls_per_sample(fn):
     """Calls that take about 0.2 s, at least one."""
     t0 = time.perf_counter()
@@ -148,7 +207,7 @@ def time_per_call(fn, calls):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="BENCH_9.json")
+    ap.add_argument("--out", default="BENCH_11.json")
     ap.add_argument("--label", default="change", help="key of this run's rows in the file")
     ap.add_argument("--repeat", type=int, default=7, help="rounds over all cases")
     args = ap.parse_args()
@@ -174,6 +233,8 @@ def main():
             for key, fn in kernel_calls(domain, Vs).items():
                 cases.append((name, f"P={paths},m={vertices}", key + "_us",
                               fn, calls_per_sample(fn), 1e3))
+        for size, key, fn, div in layer_calls(name, domain, rng):
+            cases.append((name, size, key, fn, calls_per_sample(fn), div))
     # rounds sweep every case, so a slow spell of the machine hits all alike
     best = {}
     for _ in range(args.repeat):
@@ -182,7 +243,7 @@ def main():
             best[name, size, key] = min(best.get((name, size, key), np.inf), t)
     rows = {name: {} for name in PRESETS}
     for name, size, key, _, _, div in cases:
-        rows[name].setdefault(size, {})[key] = round(1e9 * best[name, size, key] / div, 1)
+        rows[name].setdefault(size, {})[key] = float(f"{1e9 * best[name, size, key] / div:.4g}")
     for name in PRESETS:
         print(name, rows[name])
     doc = {}

@@ -169,11 +169,9 @@ def ball_contour(field: DistanceField, r):
     """
     v = field.values
     nx, ny = v.shape
-    finite = np.isfinite(v)
     vals = np.nanmin(v), np.nanmax(v)
     if not (vals[0] < r < vals[1]):
         raise InvalidInputError("level must lie strictly between field extremes")
-    inside = np.where(finite, v < r, False)
 
     # one crossing point per lattice edge, shared by both adjacent cells
     hx = {}
@@ -375,7 +373,9 @@ def directional_radii(domain, center, dirs, level, s: SolverConfig = None,
     The logarithmic lower bound gives two analytic upper brackets, from
     the ray's boundary hit L and from the center depth:
     k >= max(log(1 + s/(L-s)), log(1 + s/d(center))), so the sphere lies
-    below min(L (1 - e^{-level}), d(center) (e^{level} - 1)).
+    below min(L (1 - e^{-level}), d(center) (e^{level} - 1)).  No
+    arithmetic mixes directions and ``solve_batch`` is batch-invariant,
+    so a radius keeps its bits whatever directions share the call.
     """
     if s is None:
         s = RADIUS_SOLVER
@@ -383,7 +383,7 @@ def directional_radii(domain, center, dirs, level, s: SolverConfig = None,
     U = np.asarray(dirs, dtype=float)
     U = U / np.sqrt((U * U).sum(axis=1, keepdims=True))
     K = U.shape[0]
-    L = np.array([_boundary_ray_limit(domain, center, U[k]) for k in range(K)])
+    L = _boundary_ray_limits(domain, center, U)
     d_center = domain.boundary_distance(center)
     lo = np.zeros(K)
     hi = np.minimum(L * (1.0 - np.exp(-level)), d_center * np.expm1(level))
@@ -391,7 +391,6 @@ def directional_radii(domain, center, dirs, level, s: SolverConfig = None,
     fhi = np.full(K, np.nan)           # unknown until first sampled
     side = np.zeros(K, dtype=int)      # Illinois bookkeeping
     paths = np.zeros((K, vertex_count, center.size))
-    have_path = np.zeros(K, dtype=bool)
     prev_s = np.ones(K)
     active = np.ones(K, dtype=bool)
     for it in range(rounds):
@@ -408,15 +407,14 @@ def directional_radii(domain, center, dirs, level, s: SolverConfig = None,
         snew = use if it >= 1 else mid
         targets = center[None, :] + snew[:, None] * U[idx]
         inits = None
-        if have_path[idx].all():
+        if it > 0:  # every direction was solved in round 0
             scale = (snew / np.maximum(prev_s[idx], 1e-300))[:, None, None]
             inits = center[None, None, :] + (paths[idx] - center[None, None, :]) * scale
         ctr = np.broadcast_to(center, (idx.size, center.size))
-        kv, plist, _ = solve_batch(domain, ctr, targets, s,
-                                   vertex_count=vertex_count, relax_sweeps=1,
-                                   inits=inits)
-        paths[idx] = np.stack([p.vertices for p in plist])
-        have_path[idx] = True
+        kv, V, _ = solve_batch(domain, ctr, targets, s,
+                               vertex_count=vertex_count, relax_sweeps=1,
+                               inits=inits)
+        paths[idx] = V
         prev_s[idx] = snew
         fv = kv - level
         below = fv <= 0
@@ -439,25 +437,31 @@ def directional_radii(domain, center, dirs, level, s: SolverConfig = None,
     return np.where(np.isfinite(out), np.clip(out, lo, hi), 0.5 * (lo + hi))
 
 
-def _boundary_ray_limit(domain, origin, u, cap=1e6):
-    """sup { s : origin + s u inside }, by bracketed bisection."""
-    s = 1.0
-    last_in = 0.0
+def _boundary_ray_limits(domain, origin, U, cap=1e6):
+    """sup { s : origin + s u inside } for every row u of U, in lockstep:
+    each ray doubles s from 1 until it leaves the domain (its limit is
+    ``cap`` once s passes it), then bisects that bracket 80 times, every
+    step one ``contains_many`` call over the rays still in that phase."""
+    U = np.atleast_2d(U)
+    lo, hi = np.zeros(U.shape[0]), np.ones(U.shape[0])
+    capped = np.zeros(U.shape[0], dtype=bool)
+    grow = np.arange(U.shape[0])
     for _ in range(80):
-        if domain.contains(origin + s * u):
-            last_in = s
-            s *= 2.0
-            if s > cap:
-                return cap
-        else:
+        if grow.size == 0:
             break
-    lo, hi = last_in, s
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if domain.contains(origin + mid * u):
-            lo = mid
-        else:
-            hi = mid
+        grow = grow[domain.contains_many(origin + hi[grow, None] * U[grow])]
+        lo[grow] = hi[grow]
+        hi[grow] *= 2.0
+        capped[grow] = hi[grow] > cap
+        grow = grow[~capped[grow]]
+    idx = np.nonzero(~capped)[0]
+    a, b, V = lo[idx], hi[idx], U[idx]
+    for _ in range(80 if idx.size else 0):
+        mid = 0.5 * (a + b)
+        inside = domain.contains_many(origin + mid[:, None] * V)
+        a, b = np.where(inside, mid, a), np.where(inside, b, mid)
+    lo[idx] = a
+    lo[capped] = cap
     return lo
 
 
@@ -544,7 +548,7 @@ def smoothness_profile(domain, center, r, probes=8,
 
 
 def _oracle_radius(domain, center, u, level, k_eval):
-    lo, hi = 1e-9, _boundary_ray_limit(domain, center, u) * (1 - 1e-9)
+    lo, hi = 1e-9, _boundary_ray_limits(domain, center, u)[0] * (1 - 1e-9)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if k_eval(center + mid * u) <= level:
@@ -584,7 +588,6 @@ def convexity_check(field: DistanceField, r, samples=1000, rng_seed=0,
     a, b = a[ok], b[ok]
     mid = 0.5 * (a + b)
     if domain is not None:
-        ctr = np.broadcast_to(field.center, a.shape)
         all_pts = np.concatenate([a, b, mid])
         ctr3 = np.broadcast_to(field.center, all_pts.shape)
         kvals, _, _ = solve_batch(domain, ctr3, all_pts, s, vertex_count=vertex_count,

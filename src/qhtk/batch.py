@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import InvalidInputError, Polyline, _resample_paths
+from .geometry import InvalidInputError, _resample_paths
 from .solver import (
     DEFAULT_SOLVER,
     SolverConfig,
@@ -29,7 +29,9 @@ def solve_batch(domain, starts, ends, s: SolverConfig = DEFAULT_SOLVER,
                 vertex_count=17, relax_sweeps=2, inits=None):
     """Quasihyperbolic lengths for many endpoint pairs at once.
 
-    Returns (lengths, paths, gradient_norms).  Initial paths default to
+    Returns (lengths, V, gradient_norms), V the (P, vertex_count, dim)
+    final vertices; a degenerate pair (start = end) keeps its initial
+    path, resampled to vertex_count, with length 0.  Initial paths default to
     straight chords (valid in convex domains); callers in non-convex
     domains must supply ``inits`` with the right homotopy classes, e.g.
     from grid seeds.  Lengths are fixed-node quadrature values of the
@@ -41,7 +43,6 @@ def solve_batch(domain, starts, ends, s: SolverConfig = DEFAULT_SOLVER,
     starts = np.asarray(starts, dtype=float)
     ends = np.asarray(ends, dtype=float)
     P = starts.shape[0]
-    dim = domain.dimension
     warm = inits is not None and np.asarray(inits).shape[1] == vertex_count
     if inits is None:
         if not domain.is_convex:
@@ -56,7 +57,8 @@ def solve_batch(domain, starts, ends, s: SolverConfig = DEFAULT_SOLVER,
     work = np.nonzero(~degenerate)[0]
     lengths = np.zeros(P)
     gnorms = np.zeros(P)
-    paths = [None] * P
+    V = np.asarray(inits, dtype=float)
+    V = V.copy() if V.shape[1] == vertex_count else _resample_paths(V, vertex_count)
     if work.size:
         Vs = np.ascontiguousarray(np.asarray(inits)[work])
         # a warm start re-solves at its own count (bisection rounds, sweeps)
@@ -73,8 +75,7 @@ def solve_batch(domain, starts, ends, s: SolverConfig = DEFAULT_SOLVER,
                                         relax_sweeps if count == schedule[-1] else 1)
         lengths[work] = f
         gnorms[work] = gn
-        for j, p in enumerate(work):
-            paths[p] = Polyline(Vs[j])
+        V[work] = Vs
         # endpoint form of the logarithmic lower bound, logged suite-wide
         d_s = domain.boundary_distance_many(starts[work])
         d_e = domain.boundary_distance_many(ends[work])
@@ -92,4 +93,4 @@ def solve_batch(domain, starts, ends, s: SolverConfig = DEFAULT_SOLVER,
                     (getattr(domain, "name", "") or "domain") + "[batch!]",
                     f[j], bound[j],
                 )
-    return lengths, paths, gnorms
+    return lengths, V, gnorms

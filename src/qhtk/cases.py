@@ -152,7 +152,6 @@ def verify_intersection_count(n, s: SolverConfig = None):
         raise InvalidInputError("need n >= 2")
     dom = build_omega_n(n)
     if n == 2:
-        x, y = np.array([-1.0, 0.0]), np.array([1.0, 0.0])
         s = s or DEFAULT_SOLVER
         up = Polyline(np.stack([np.cos(np.linspace(np.pi, 0, 9)),
                                 np.sin(np.linspace(np.pi, 0, 9))], axis=1))
@@ -160,7 +159,6 @@ def verify_intersection_count(n, s: SolverConfig = None):
         g2 = refine_path(dom, up.mirrored(1), s)
         expected_absc = np.array([-1.0, 1.0])
     else:
-        x, y = omega_endpoints(n)
         s = s or OMEGA_SOLVER.get(n, OMEGA_SOLVER[5])
         g1 = refine_path(dom, sign_pattern_seed(n, [1] * (n - 1)), s)
         g2 = refine_path(dom, sign_pattern_seed(n, [-1] * (n - 1)), s)

@@ -83,7 +83,8 @@ class NormSpec:
         """Norm of v; vectorized over the last axis.
 
         Rows that underflow to zero are recomputed after rescaling by
-        their max coordinate, so the norm vanishes only at the origin.
+        their max coordinate, so the norm vanishes only at the origin;
+        only those rows are touched.
 
         The sum runs one coordinate at a time over all rows, in coordinate
         order.  For dim <= 7 that is the order ``np.sum`` takes on a row,
@@ -106,15 +107,13 @@ class NormSpec:
         zero = out == 0.0
         if not zero.any():
             return out
-        vmax = np.max(np.abs(v), axis=-1)
-        bad = zero & (vmax > 0.0)
-        if np.any(bad):
-            scaled = self.eval(v[bad] / vmax[bad, ..., None] if v.ndim > 1 else v / vmax)
-            if v.ndim > 1:
-                out = np.where(bad, 0.0, out)
-                out[bad] = vmax[bad] * scaled
-            else:
-                out = vmax * scaled
+        if v.ndim == 1:
+            return self.eval(v[None])[0]
+        # the max is exact, so taking it over the zero rows alone moves no bits
+        vz = v[zero]
+        vmax = np.max(np.abs(vz), axis=-1)
+        bad = vmax > 0.0
+        out.flat[np.flatnonzero(zero)[bad]] = vmax[bad] * self.eval(vz[bad] / vmax[bad, None])
         return out
 
     def dual_eval(self, v):
@@ -711,14 +710,6 @@ def _resample_paths(Vs, count):
     out[:, 0] = Vs[:, 0]
     out[:, -1] = Vs[:, -1]
     return out
-
-
-def validate_polyline(domain, path: Polyline):
-    """Check every vertex lies strictly inside ``domain``."""
-    if path.dimension != domain.dimension:
-        raise InvalidInputError("polyline dimension does not match domain")
-    if not domain.contains_many(path.vertices).all():
-        raise DomainViolationError("polyline vertex outside the domain")
 
 
 def certify_segment(domain, a, b, max_depth=24):

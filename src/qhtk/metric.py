@@ -20,7 +20,6 @@ from .geometry import (
     QHError,
     _as_points,
     certify_segment,
-    validate_polyline,
 )
 
 
@@ -104,8 +103,8 @@ def qh_path_length(domain, path: Polyline, q: QuadratureConfig = DEFAULT_QUADRAT
     stay inside via the 1-Lipschitz bound on boundary distance (a segment
     shorter than the sum of endpoint distances cannot exit).
     """
-    validate_polyline(domain, path)
     V = path.vertices
+    # raises on a vertex outside the domain or of the wrong dimension
     d = domain.boundary_distance_many(V)
     seg = np.diff(V, axis=0)
     lens = np.sqrt(np.sum(seg * seg, axis=1))

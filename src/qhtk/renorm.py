@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .ball import _boundary_ray_limit, directional_radii
+from .ball import _boundary_ray_limits, directional_radii
 from .batch import solve_batch
 from .geometry import InvalidInputError, QHError
 from .solver import RefinementConfig, SolverConfig
@@ -31,9 +31,11 @@ class InducedNorm:
     """Minkowski functional of the centered ball B_k(0, r).
 
     Evaluation is by directional radius: M(x) = |x| / rho(x/|x|) where
-    rho(u) solves k(0, rho u) = r, found by bisection (centered balls of
-    symmetric convex domains are star-shaped about 0).  Radii are cached
-    per direction; batch queries share one bisection.
+    rho(u) solves k(0, rho u) = r (centered balls of symmetric convex
+    domains are star-shaped about 0), found by ``directional_radii``.
+    Radii are cached per direction.  Construction solves the precheck
+    directions, their mirrors and the planar table's knots in one
+    ``directional_radii`` call, which is batch-invariant.
     """
 
     def __init__(self, domain, r, s: SolverConfig = NORM_SOLVER,
@@ -54,41 +56,40 @@ class InducedNorm:
         self.eval_tol = eval_tol
         self._cache = {}
         self._spline = None
-        self._check_symmetry_and_convexity(precheck_pairs, rng_seed)
-        if table and domain.dimension == 2:
-            self._build_table(int(table))
+        dim = domain.dimension
+        rng = np.random.default_rng(rng_seed)
+        if dim == 2:
+            th = rng.uniform(0, 2 * np.pi, 8)
+            U = np.stack([np.cos(th), np.sin(th)], axis=1)
+        else:
+            U = rng.normal(size=(8, dim))
+            U /= np.sqrt((U * U).sum(axis=1, keepdims=True))
+        knot_th = np.linspace(0.0, 2.0 * np.pi, int(table) if table and dim == 2 else 0,
+                              endpoint=False)
+        knots = np.stack([np.cos(knot_th), np.sin(knot_th)], axis=1).reshape(-1, dim)
+        # cache what radii(U) and then radii(-U) would; the knots stay out
+        # of the cache, so exact queries along them still solve afresh
+        Up, keys_p = self._unit_keys(U)
+        Um, keys_m = self._unit_keys(-U)
+        miss_m = [i for i, k in enumerate(keys_m) if k not in keys_p]
+        keys = keys_p + [keys_m[i] for i in miss_m]
+        rho = self._solve(np.concatenate([Up, Um[miss_m], knots]))
+        self._cache.update(zip(keys, map(float, rho[:len(keys)])))
+        self._check_symmetry_and_convexity(U, keys_p, keys_m, precheck_pairs, rng)
+        if knot_th.size:
+            # the radius is a smooth periodic function of the angle, so a
+            # cubic spline over the knots interpolates far below eval_tol
+            from scipy.interpolate import CubicSpline
 
-    def _build_table(self, n):
-        """Dense periodic radius table; bulk gauge queries interpolate it.
-
-        The directional radius of a smooth convex ball is a smooth
-        periodic function of the angle, so a cubic spline over n knots
-        carries interpolation error far below eval_tol; the spline is
-        spot-validated against direct bisection in the test suite.
-        """
-        from scipy.interpolate import CubicSpline
-
-        th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        U = np.stack([np.cos(th), np.sin(th)], axis=1)
-        rho = directional_radii(self.domain, np.zeros(2), U, self.r,
-                                s=self.sconf, vertex_count=self.vertex_count,
-                                rounds=self.rounds)
-        th_ext = np.concatenate([th, [2.0 * np.pi]])
-        rho_ext = np.concatenate([rho, [rho[0]]])
-        self._spline = CubicSpline(th_ext, rho_ext, bc_type="periodic")
+            rho = rho[len(keys):]
+            self._spline = CubicSpline(np.append(knot_th, 2.0 * np.pi), np.append(rho, rho[0]),
+                                       bc_type="periodic")
 
     # -- hypothesis gates ---------------------------------------------------
 
-    def _check_symmetry_and_convexity(self, pairs, rng_seed):
-        rng = np.random.default_rng(rng_seed)
-        dim = self.domain.dimension
-        th = rng.uniform(0, 2 * np.pi, 8)
-        U = np.stack([np.cos(th), np.sin(th)], axis=1) if dim == 2 else None
-        if U is None:
-            U = rng.normal(size=(8, dim))
-            U /= np.sqrt((U * U).sum(axis=1, keepdims=True))
-        rad_p = self.radii(U)
-        rad_m = self.radii(-U)
+    def _check_symmetry_and_convexity(self, U, keys_p, keys_m, pairs, rng):
+        rad_p = np.array([self._cache[k] for k in keys_p])
+        rad_m = np.array([self._cache[k] for k in keys_m])
         if np.abs(rad_p - rad_m).max() > 1e-3 * max(rad_p.max(), 1e-12):
             raise ConfigurationError("ball is not symmetric: domain must be symmetric")
         # midpoint convexity of the ball on sampled pairs, re-solved
@@ -110,19 +111,26 @@ class InducedNorm:
 
     # -- evaluation ----------------------------------------------------------
 
-    def radii(self, dirs):
-        """Directional radii of the ball, cached per unit direction."""
+    @staticmethod
+    def _unit_keys(dirs):
+        """Unit directions and their cache keys."""
         U = np.atleast_2d(np.asarray(dirs, dtype=float))
         U = U / np.sqrt((U * U).sum(axis=1, keepdims=True))
-        keys = [tuple(np.round(u, 12)) for u in U]
+        return U, [tuple(np.round(u, 12)) for u in U]
+
+    def _solve(self, U):
+        return directional_radii(
+            self.domain, np.zeros(self.domain.dimension), U, self.r,
+            s=self.sconf, vertex_count=self.vertex_count, rounds=self.rounds,
+        )
+
+    def radii(self, dirs):
+        """Directional radii of the ball, cached per unit direction."""
+        U, keys = self._unit_keys(dirs)
         missing = [i for i, k in enumerate(keys) if k not in self._cache]
         if missing:
-            vals = directional_radii(
-                self.domain, np.zeros(self.domain.dimension), U[missing], self.r,
-                s=self.sconf, vertex_count=self.vertex_count, rounds=self.rounds,
-            )
-            for i, v in zip(missing, vals):
-                self._cache[keys[i]] = float(v)
+            vals = self._solve(U[missing])
+            self._cache.update(zip([keys[i] for i in missing], map(float, vals)))
         return np.array([self._cache[k] for k in keys])
 
     def eval_many(self, X, exact=False):
@@ -178,8 +186,7 @@ def domain_directional_radius(domain, dirs):
     """Gauge radius of the domain itself along each direction."""
     U = np.atleast_2d(np.asarray(dirs, dtype=float))
     U = U / np.sqrt((U * U).sum(axis=1, keepdims=True))
-    origin = np.zeros(domain.dimension)
-    return np.array([_boundary_ray_limit(domain, origin, u) for u in U])
+    return _boundary_ray_limits(domain, np.zeros(domain.dimension), U)
 
 
 def _dense_closed_curve(pts, n=2048):

@@ -215,6 +215,7 @@ def _batch_screen(domain, Vs):
 
 
 _RELAX_STEPS = 0.5 ** np.array([0, 1, 2, 3, 4, 5, 6, 7, 9, 11, 13])
+_RELAX_BLOCK = 1 << 13  # candidate segments per _segment_values call
 
 
 def _batch_relax(domain, Vs, vals, active, sweeps):
@@ -268,7 +269,10 @@ def _batch_relax(domain, Vs, vals, active, sweeps):
             nxt = np.broadcast_to(W[:, cols + 1][:, :, None, None, :], C.shape)
             A = np.concatenate([prev.reshape(-1, dim), C.reshape(-1, dim)])
             B = np.concatenate([C.reshape(-1, dim), nxt.reshape(-1, dim)])
-            sv = _segment_values(domain, A, B)
+            # blocks bound the temporaries at any batch size; no value depends on its block
+            parts = -(-A.shape[0] // _RELAX_BLOCK)
+            sv = np.concatenate([_segment_values(domain, a, b) for a, b in
+                                 zip(np.array_split(A, parts), np.array_split(B, parts))])
             half = sv.size // 2
             F = (sv[:half] + sv[half:]).reshape(idxp.size, cols.size, J * T)
             base = wvals[:, cols - 1] + wvals[:, cols]
@@ -566,9 +570,6 @@ _OFFSETS_3D = [
     (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
 ]
 
-# worst-case angular detour of the 2-D knight stencil: sec(13.3 deg)
-GRID_STENCIL_FACTOR = 1.028
-
 
 def _grid_window(domain, x, y):
     lo_hint, hi_hint = domain.window_hint()
@@ -690,8 +691,7 @@ class _GridGraph:
         V = np.array(verts)
         keep = np.ones(len(V), dtype=bool)
         keep[1:] &= np.sqrt(np.sum(np.diff(V, axis=0) ** 2, axis=1)) > 1e-12
-        return Polyline(V[keep], meta={"grid_factor": GRID_STENCIL_FACTOR,
-                                       "grid_cost": float(dist[self.dst])}), chain
+        return Polyline(V[keep], meta={"grid_cost": float(dist[self.dst])}), chain
 
     def edge_penalty_mask(self, paths, radius):
         """Edges with both endpoints near any of the given polylines."""
@@ -713,12 +713,12 @@ def _chord_polyline(x, y):
     return Polyline(x[None, :] + t[:, None] * (y - x)[None, :])
 
 
-def grid_init(domain, x, y, s: SolverConfig = DEFAULT_SOLVER, q=None):
+def grid_init(domain, x, y, s: SolverConfig = DEFAULT_SOLVER):
     """Initial polyline from x to y strictly inside the domain.
 
     Convex domains take the straight chord; otherwise Dijkstra on the
-    lattice graph picks the cheapest corridor, with the stencil factor
-    recorded in the polyline metadata.
+    lattice graph picks the cheapest corridor, with its lattice cost
+    recorded as ``grid_cost`` in the polyline metadata.
     """
     X, _ = _as_points(x, domain.dimension)
     Y, _ = _as_points(y, domain.dimension)
@@ -730,9 +730,7 @@ def grid_init(domain, x, y, s: SolverConfig = DEFAULT_SOLVER, q=None):
         return _chord_polyline(x, y)
     if certify_segment(domain, x, y):
         # interior chord in a non-convex domain is still a valid seed
-        chord = _chord_polyline(x, y)
-        chord.meta["grid_factor"] = 1.0
-        return chord
+        return _chord_polyline(x, y)
     graph = _GridGraph(domain, x, y, s.grid_resolution)
     path, _ = graph.shortest_path()
     return path

@@ -3,6 +3,7 @@ import pytest
 
 from qhtk.ball import (
     InvalidInputError,
+    _boundary_ray_limits,
     ProbeRejectedError,
     ResolutionError,
     TruncatedContourError,
@@ -14,7 +15,15 @@ from qhtk.ball import (
     orthogonality_ratio,
     smoothness_profile,
 )
-from qhtk.geometry import half_plane, punctured_space, strip, unit_ball
+from qhtk.cases import build_omega_n
+from qhtk.geometry import (
+    half_plane,
+    prolongation_polygon,
+    punctured_space,
+    strip,
+    symmetric_box,
+    unit_ball,
+)
 from qhtk.metric import halfplane_distance_oracle
 from qhtk.solver import qh_distance
 
@@ -180,6 +189,81 @@ def test_directional_radii_halfplane():
     pts = np.array([0.0, 1.0]) + rad[:, None] * U
     cc = np.array([0.0, np.cosh(1.0)])
     assert np.abs(np.sqrt(((pts - cc) ** 2).sum(axis=1)) - np.sinh(1.0)).max() < 1e-3
+
+
+def reference_ray_limit(domain, origin, u, cap=1e6):
+    """The one-ray loop that ``_boundary_ray_limits`` runs in lockstep."""
+    s = 1.0
+    last_in = 0.0
+    for _ in range(80):
+        if domain.contains(origin + s * u):
+            last_in = s
+            s *= 2.0
+            if s > cap:
+                return cap
+        else:
+            break
+    lo, hi = last_in, s
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if domain.contains(origin + mid * u):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _reenters(case, origin, u, limit):
+    """The ray left the domain before its limit and came back: it crossed
+    one of omega-3's slits (x = sqrt(3)/2, 1/2 <= |y| <= 1) on the way, or
+    polygon-P is inside again somewhere past the limit."""
+    if case == "omega-3":
+        t = (np.sqrt(3.0) / 2.0 - origin[0]) / u[0] if u[0] else -1.0
+        return 0.0 < t < limit and 0.5 <= abs(origin[1] + t * u[1]) <= 1.0
+    beyond = origin + np.linspace(limit + 1e-6, limit + 8.0, 400)[:, None] * u
+    return bool(RAY_CASES[case][0].contains_many(beyond).any())
+
+
+RAY_CASES = {
+    "unit-ball": (unit_ball(), (0.1, -0.2), 1e6),
+    "box": (symmetric_box(), (0.3, 0.1), 1e6),
+    "strip": (strip(), (0.5, 0.1), 1e6),
+    "strip-cap3": (strip(), (0.5, 0.1), 3.0),
+    "half-plane": (half_plane(), (0.0, 1.0), 1e6),
+    "polygon-P": (prolongation_polygon(), (-3.2, 0.5), 1e6),
+    "omega-3": (build_omega_n(3), (0.4, 0.3), 1e6),
+}
+
+
+@pytest.mark.parametrize("K", [1, 7, 64])
+@pytest.mark.parametrize("case", sorted(RAY_CASES))
+def test_ray_limits_match_reference_loop(case, K):
+    domain, origin, cap = RAY_CASES[case]
+    origin = np.array(origin)
+    th = np.linspace(0.0, 2.0 * np.pi, K, endpoint=False)
+    U = np.stack([np.cos(th), np.sin(th)], axis=1)
+    got = _boundary_ray_limits(domain, origin, U, cap=cap)
+    ref = np.array([reference_ray_limit(domain, origin, u, cap=cap) for u in U])
+    assert np.array_equal(got, ref)
+    if case in ("strip", "half-plane"):
+        # the first ray runs along the boundary and never leaves
+        assert got[0] == cap
+    if case == "strip-cap3" and K == 64:
+        assert (got == 3.0).any() and (got < 3.0).any()
+    if case in ("polygon-P", "omega-3") and K == 64:
+        assert sum(_reenters(case, origin, u, L) for u, L in zip(U, got)) >= 5
+
+
+@pytest.mark.parametrize("domain, level", [(unit_ball(), 1.0), (symmetric_box(), 1.5)],
+                         ids=["unit-ball", "box"])
+def test_directional_radii_keep_bits_in_any_batch(domain, level):
+    # no arithmetic mixes directions, so a direction solved alone matches
+    # the same direction inside a larger call to the bit
+    th = 0.1 + np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+    U = np.stack([np.cos(th), np.sin(th)], axis=1)
+    rho = directional_radii(domain, np.zeros(2), U, level)
+    for j in (0, 13):
+        assert directional_radii(domain, np.zeros(2), U[j:j + 1], level)[0] == rho[j]
 
 
 def test_convexity_check_passes_on_strip(strip_field):

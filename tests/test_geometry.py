@@ -128,6 +128,18 @@ def test_norm_column_sums_match_np_sum(norm, dim):
     assert (norm.eval(tiny) > 0.0).all()
 
 
+def test_norm_rescue_touches_only_zero_rows():
+    rng = np.random.default_rng(5)
+    V = rng.normal(size=(100_000, 2))
+    V[123] = 0.0
+    V[4567] = (1e-170, -1e-170)
+    for norm in (NormSpec(), NormSpec("p", 4.0)):
+        got = norm.eval(V)
+        assert np.array_equal(got, reference_norm(norm, V))
+        assert got[123] == 0.0
+        assert got[4567] > 0.0
+
+
 # --- membership and boundary distance ---------------------------------------
 
 def test_strip_contains_far_point():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+from qhtk.ball import directional_radii
 from qhtk.geometry import punctured_space, symmetric_box, unit_ball
 from qhtk.renorm import (
     ConfigurationError,
@@ -130,3 +132,39 @@ def test_table_interpolation_matches_direct_bisection(box_norm):
     fast = box_norm.eval_many(X)
     exact = box_norm.eval_many(X, exact=True)
     assert np.abs(fast - exact).max() < 1.5 * box_norm.eval_tol
+
+
+def reference_norm_tables(domain, r, table, rng_seed=0):
+    """Cache and spline of an induced norm built with three separate
+    ``directional_radii`` calls: radii(U), radii(-U) and the table knots."""
+    def solve(U):
+        return directional_radii(domain, np.zeros(2), U, r, vertex_count=25, rounds=18)
+
+    def unit(U):
+        return U / np.sqrt((U * U).sum(axis=1, keepdims=True))
+
+    cache = {}
+    rng = np.random.default_rng(rng_seed)
+    th = rng.uniform(0, 2 * np.pi, 8)
+    U = np.stack([np.cos(th), np.sin(th)], axis=1)
+    for D in (unit(U), unit(-U)):
+        keys = [tuple(np.round(u, 12)) for u in D]
+        missing = [i for i, k in enumerate(keys) if k not in cache]
+        for i, v in zip(missing, solve(D[missing])):
+            cache[keys[i]] = float(v)
+    th = np.linspace(0.0, 2.0 * np.pi, table, endpoint=False)
+    rho = solve(np.stack([np.cos(th), np.sin(th)], axis=1))
+    spline = CubicSpline(np.concatenate([th, [2.0 * np.pi]]),
+                         np.concatenate([rho, [rho[0]]]), bc_type="periodic")
+    return cache, spline
+
+
+@pytest.mark.parametrize("domain", [symmetric_box(), unit_ball()], ids=["box", "unit-ball"])
+def test_one_radii_call_keeps_the_bits_of_three(domain):
+    norm = InducedNorm(domain, 1.0, precheck_pairs=10, table=16)
+    cache, spline = reference_norm_tables(domain, 1.0, 16)
+    assert norm._cache == cache
+    assert len(cache) == 16
+    assert np.array_equal(norm._spline.x, spline.x)
+    assert np.array_equal(norm._spline.c, spline.c)
+

@@ -252,11 +252,12 @@ def test_batch_matches_sequential():
     A = np.stack([rng.uniform(-1.5, 1.5, 6), rng.uniform(0.4, 2.0, 6)], axis=1)
     B = np.stack([rng.uniform(-1.5, 1.5, 6), rng.uniform(0.4, 2.0, 6)], axis=1)
     s = SolverConfig(refinement=RefinementConfig(max_iterations=120, gradient_tol=1e-4))
-    L, paths, _ = solve_batch(HP, A, B, s, vertex_count=33)
+    L, V, _ = solve_batch(HP, A, B, s, vertex_count=33)
+    assert V.shape == (6, 33, 2)
     for i in range(6):
         oracle = halfplane_distance_oracle(A[i], B[i])
         assert L[i] == pytest.approx(oracle, rel=2e-4, abs=2e-4)
-        assert paths[i] is not None
+        assert np.allclose(V[i, [0, -1]], [A[i], B[i]], rtol=0.0, atol=1e-15)
 
 
 def test_batch_composition_keeps_bits():
@@ -265,12 +266,12 @@ def test_batch_composition_keeps_bits():
     rng = np.random.default_rng(11)
     A = np.stack([rng.uniform(-1.5, 1.5, 100), rng.uniform(0.4, 2.0, 100)], axis=1)
     B = np.stack([rng.uniform(-1.5, 1.5, 100), rng.uniform(0.4, 2.0, 100)], axis=1)
-    L, paths, G = solve_batch(HP, A, B)
+    L, V, G = solve_batch(HP, A, B)
     for j in (0, 57):
-        L1, paths1, G1 = solve_batch(HP, A[j:j + 1], B[j:j + 1])
+        L1, V1, G1 = solve_batch(HP, A[j:j + 1], B[j:j + 1])
         assert L1[0] == L[j]
         assert G1[0] == G[j]
-        assert np.array_equal(paths1[0].vertices, paths[j].vertices)
+        assert np.array_equal(V1[0], V[j])
 
 
 def test_box_solve_converges_across_seams():
@@ -327,10 +328,10 @@ def test_relax_counts_only_taken_moves():
     # a sweep that moves few vertices must not be stopped by the negative
     # gains of the vertices it left in place
     a, b = np.array([-1.2470, 0.9403]), np.array([0.6336, 0.9403])
-    _, paths, _ = solve_batch(HP, a[None], b[None], vertex_count=33, relax_sweeps=0)
+    _, V, _ = solve_batch(HP, a[None], b[None], vertex_count=33, relax_sweeps=0)
     lengths = {}
     for sweeps in (1, 30):
-        Vs = paths[0].vertices[None].copy()
+        Vs = V.copy()
         _, vals = _batch_objective(HP, Vs)
         _, f, _ = _batch_relax(HP, Vs, vals, np.ones(1, dtype=bool), sweeps)
         lengths[sweeps] = f[0]
