@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the oracle, the descent kernels and the layers above them into BENCH_11.json.
+"""Time the oracle, the descent kernels, the layers above them and the verdicts into BENCH_12.json.
 
 For each preset, ``DomainSpec.depth_many`` (``depth_many`` of the star-like
 set) is timed on N = 49 points, the median point count of a single-path
@@ -37,7 +37,24 @@ Above the kernels:
 
 Each figure is the minimum over rounds of the mean time per call (about
 0.2 s of calls per round, at least one call); every round sweeps all
-cases.  Figures keep four significant digits.  The rows go under
+cases.  Figures keep four significant digits.
+
+``--verdicts`` adds the process CPU seconds (user plus system) of the
+multiplicity verdicts (acceptance criteria 3 and 4):
+``enumerate_sign_geodesics(n)`` and ``verify_intersection_count(n)`` for
+n = 3, 4, 5, and ``polygon_prolongation_check(0.5)``.  Each verdict runs
+once in each of ``VERDICT_REPEAT`` fresh interpreters, as ``qh example``
+runs it, and the fastest run is kept with its system seconds.  A fresh
+process spends much of a verdict's time in the system: it keeps returning
+the solver's large temporaries to the system and page-faulting them back
+in.  Inside the Tier-1 suite, where earlier tests have already allocated
+larger blocks, it does not, so the suite's durations of criteria 3 and 4
+are the in-process figure.  ``--tier1`` runs the Tier-1 suite of the tree
+that holds the imported ``qhtk`` (``python -m pytest -q
+--continue-on-collection-errors --durations=0`` from its root) and keeps
+its summary line, its wall time and the seconds of every setup, call and
+teardown.  Run with BLAS held to one thread (``OPENBLAS_NUM_THREADS=1``
+and its MKL and OpenMP twins), as the benchmark does.  The rows go under
 ``--label`` in the output file, next to the rows of other labels already
 there, so one file holds a before and an after run on the same machine.
 The relax kernel is called by parameter name and the ray limits fall back
@@ -46,7 +63,7 @@ older trees.
 
 Usage:
     PYTHONPATH=src python3 scripts/bench_layers.py [--label change]
-        [--out BENCH_11.json] [--repeat 7]
+        [--out BENCH_12.json] [--repeat 7] [--verdicts] [--tier1]
 """
 
 import argparse
@@ -55,6 +72,7 @@ import inspect
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -76,6 +94,7 @@ PRESETS = ("half-plane", "strip", "slab3d", "unit-ball", "box", "punctured-plane
 SIZES = (49, 100_000)
 SEGMENTS = (48, 9_600, 168_000)
 PATHS = ((1, 49), (600, 17))  # (paths, vertices per path)
+VERDICT_REPEAT = 3  # fresh interpreters per verdict; the fastest is kept
 GRID_PAIRS = {  # lattice seeds: the benchmark's polygon-P pair, omega-5's axis ends
     "polygon-P": (np.array([-1.6, 0.5]), np.array([-0.6, 1.6])),
     "omega-n:5": omega_endpoints(5),
@@ -191,6 +210,62 @@ def layer_calls(name, domain, rng):
     return out
 
 
+VERDICT_CALL = """
+import resource, sys
+from qhtk import cases
+arg = float(sys.argv[2])
+r0 = resource.getrusage(resource.RUSAGE_SELF)
+verdict = getattr(cases, sys.argv[1])(int(arg) if arg.is_integer() else arg)
+r1 = resource.getrusage(resource.RUSAGE_SELF)
+system = r1.ru_stime - r0.ru_stime
+print(r1.ru_utime - r0.ru_utime + system, system, int(verdict.passed))
+"""
+
+
+def verdict_cpu_seconds():
+    """CPU seconds of each multiplicity verdict in a fresh interpreter,
+    fastest of ``VERDICT_REPEAT`` runs."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qhtk.__file__).resolve().parents[1]))
+    calls = [(fn, n) for n in (3, 4, 5)
+             for fn in ("enumerate_sign_geodesics", "verify_intersection_count")]
+    rows = {}
+    for fn, arg in calls + [("polygon_prolongation_check", 0.5)]:
+        runs = []
+        for _ in range(VERDICT_REPEAT):
+            proc = subprocess.run([sys.executable, "-c", VERDICT_CALL, fn, str(arg)], env=env,
+                                  capture_output=True, text=True, check=True)
+            runs.append([float(v) for v in proc.stdout.split()])
+        cpu, system, passed = min(runs)
+        rows[f"{fn}({arg})"] = {"cpu_s": float(f"{cpu:.4g}"), "sys_s": float(f"{system:.4g}"),
+                                "passed": bool(passed)}
+        print(f"{fn}({arg})", rows[f"{fn}({arg})"])
+    return rows
+
+
+DURATION_LINE = re.compile(r"^([0-9.]+)s (setup|call|teardown)\s+(\S+)$")
+
+
+def tier1_durations():
+    """Run the Tier-1 suite of the tree holding qhtk; per-test phase seconds."""
+    root = Path(qhtk.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+           "--durations=0", "-p", "no:cacheprovider"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.splitlines()
+    durations = {}
+    for line in lines:
+        m = DURATION_LINE.match(line.strip())
+        if m:
+            durations.setdefault(m.group(3), {})[m.group(2)] = float(m.group(1))
+    summary = next((line.strip("= ") for line in reversed(lines) if " in " in line), None)
+    print("tier1:", summary)
+    return {"command": " ".join(cmd[1:]), "summary": summary, "wall_s": round(wall, 1),
+            "exit_code": proc.returncode, "durations_s": durations}
+
+
 def calls_per_sample(fn):
     """Calls that take about 0.2 s, at least one."""
     t0 = time.perf_counter()
@@ -207,9 +282,13 @@ def time_per_call(fn, calls):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="BENCH_11.json")
+    ap.add_argument("--out", default="BENCH_12.json")
     ap.add_argument("--label", default="change", help="key of this run's rows in the file")
     ap.add_argument("--repeat", type=int, default=7, help="rounds over all cases")
+    ap.add_argument("--verdicts", action="store_true",
+                    help="add the CPU time of the multiplicity verdicts")
+    ap.add_argument("--tier1", action="store_true",
+                    help="add the Tier-1 per-test durations (runs the whole suite)")
     args = ap.parse_args()
     rng = np.random.default_rng(2)
     cases = []  # (preset, size, key, function, calls, divisor)
@@ -246,16 +325,17 @@ def main():
         rows[name].setdefault(size, {})[key] = float(f"{1e9 * best[name, size, key] / div:.4g}")
     for name in PRESETS:
         print(name, rows[name])
+    run = {"repeat": args.repeat, "machine": machine_facts(), "rows": rows}
+    if args.verdicts:
+        run["verdict_cpu_s"] = verdict_cpu_seconds()
+    if args.tier1:
+        run["tier1"] = tier1_durations()
     doc = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as f:
             doc = json.load(f)
     doc["statistic"] = "minimum over rounds of the mean per call"
-    doc.setdefault("runs", {})[args.label] = {
-        "repeat": args.repeat,
-        "machine": machine_facts(),
-        "rows": rows,
-    }
+    doc.setdefault("runs", {})[args.label] = run
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")

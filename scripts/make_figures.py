@@ -10,7 +10,7 @@ from qhtk.ball import ball_contour, distance_field
 from qhtk.cases import build_omega_n, omega_endpoints, sign_pattern_seed, OMEGA_SOLVER
 from qhtk.geometry import prolongation_polygon, strip
 from qhtk.io import write_atomic
-from qhtk.solver import qh_distance, refine_path
+from qhtk.solver import _raise_first, qh_distance, refine_paths
 from qhtk.svg import render_svg
 
 OUT = "qh-out"
@@ -19,8 +19,8 @@ OUT = "qh-out"
 def omega_figure(n=5):
     dom = build_omega_n(n)
     s = OMEGA_SOLVER[n]
-    g1 = refine_path(dom, sign_pattern_seed(n, [1] * (n - 1)), s)
-    g2 = refine_path(dom, sign_pattern_seed(n, [-1] * (n - 1)), s)
+    seeds = [sign_pattern_seed(n, [sgn] * (n - 1)) for sgn in (1, -1)]
+    g1, g2 = _raise_first(refine_paths(dom, seeds, s))
     x, y = omega_endpoints(n)
     window = ((-1.05, y[0] + 0.55), (-1.05, 1.05))
     svg = render_svg(dom, window, polylines=[g1.path, g2.path], points=[x, y],

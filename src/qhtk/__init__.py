@@ -48,6 +48,7 @@ from .solver import (
     grid_init,
     qh_distance,
     refine_path,
+    refine_paths,
 )
 
 __version__ = "0.1.0"

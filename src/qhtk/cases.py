@@ -32,9 +32,10 @@ from .solver import (
     DEFAULT_SOLVER,
     RefinementConfig,
     SolverConfig,
+    _raise_first,
     dedupe_geodesics,
-    qh_distance,
-    refine_path,
+    grid_init,
+    refine_paths,
 )
 
 SQRT3 = float(np.sqrt(3.0))
@@ -155,17 +156,16 @@ def verify_intersection_count(n, s: SolverConfig = None):
         s = s or DEFAULT_SOLVER
         up = Polyline(np.stack([np.cos(np.linspace(np.pi, 0, 9)),
                                 np.sin(np.linspace(np.pi, 0, 9))], axis=1))
-        g1 = refine_path(dom, up, s)
-        g2 = refine_path(dom, up.mirrored(1), s)
+        seeds = [up, up.mirrored(1)]
         expected_absc = np.array([-1.0, 1.0])
     else:
         s = s or OMEGA_SOLVER.get(n, OMEGA_SOLVER[5])
-        g1 = refine_path(dom, sign_pattern_seed(n, [1] * (n - 1)), s)
-        g2 = refine_path(dom, sign_pattern_seed(n, [-1] * (n - 1)), s)
+        seeds = [sign_pattern_seed(n, [sgn] * (n - 1)) for sgn in (1, -1)]
         expected_absc = np.concatenate([
             [-0.5], (2 * np.arange(1, n - 1) - 1) * SQRT3 / 2.0,
             [(n - 2) * SQRT3 + 0.5],
         ])
+    g1, g2 = _raise_first(refine_paths(dom, seeds, s))
     count, reps = count_polyline_intersections(g1.path, g2.path)
     mirror_sup = float(np.abs(
         g1.path.mirrored(1).resample(400).vertices - g2.path.resample(400).vertices
@@ -204,12 +204,11 @@ def enumerate_sign_geodesics(n, s: SolverConfig = None):
         raise InvalidInputError("sign patterns need n >= 3")
     dom = build_omega_n(n)
     s = s or OMEGA_SOLVER.get(n, OMEGA_SOLVER[5])
-    results = []
-    for signs in itertools.product([1, -1], repeat=n - 1):
-        results.append((signs, refine_path(dom, sign_pattern_seed(n, signs), s)))
-    lengths = np.array([r.qh_length for _, r in results])
-    conv = [bool(r.converged) for _, r in results]
-    distinct = dedupe_geodesics([r for _, r in results])
+    seeds = [sign_pattern_seed(n, signs) for signs in itertools.product([1, -1], repeat=n - 1)]
+    results = _raise_first(refine_paths(dom, seeds, s))
+    lengths = np.array([r.qh_length for r in results])
+    conv = [bool(r.converged) for r in results]
+    distinct = dedupe_geodesics(results)
     spread = float(lengths.max() - lengths.min())
     expected = 2 ** (n - 1)
     passed = (
@@ -228,7 +227,7 @@ def enumerate_sign_geodesics(n, s: SolverConfig = None):
         },
         tolerances={"length_spread": 1e-3},
         passed=bool(passed),
-        artifacts={"paths": [r.path.vertices.tolist() for _, r in results]},
+        artifacts={"paths": [r.path.vertices.tolist() for r in results]},
     )
 
 
@@ -246,16 +245,13 @@ def polygon_prolongation_check(t, s: SolverConfig = None):
         max_iterations=80, gradient_tol=5e-4))
     x = np.array([-t - 1.0, 0.0])
     y = np.array([-1.0, 0.0])
-    base = qh_distance(dom, x, y, s)
+    seeds = [grid_init(dom, x, z, s) for z in (y, np.array([0.0, 1.0]), np.array([0.0, -1.0]))]
+    base, g1, g2 = _raise_first(refine_paths(dom, seeds, s))
     straight_dev = float(np.abs(base.path.vertices[:, 1]).max())
-    z1 = np.array([0.0, 1.0])
-    z2 = np.array([0.0, -1.0])
-    g1 = qh_distance(dom, x, z1, s)
-    g2 = qh_distance(dom, x, z2, s)
-    d1 = float(np.sqrt(((g1.path.resample(3000).vertices - y) ** 2).sum(axis=1)).min())
-    d2 = float(np.sqrt(((g2.path.resample(3000).vertices - y) ** 2).sum(axis=1)).min())
     A = g1.path.resample(3000).vertices
     B = g2.path.resample(3000).vertices
+    d1 = float(np.sqrt(((A - y) ** 2).sum(axis=1)).min())
+    d2 = float(np.sqrt(((B - y) ** 2).sum(axis=1)).min())
     postA = A[A[:, 0] > -1.0 + 1e-9]
     postB = B[B[:, 0] > -1.0 + 1e-9]
     post_sup = float(cKDTree(postB).query(postA)[0].max()) if len(postA) and len(postB) else 0.0
@@ -361,18 +357,9 @@ def starlike3d_nonuniqueness(s: SolverConfig = None, grid_h=0.05, tol=1e-6):
         max_iterations=80, gradient_tol=5e-4))
     x = np.array([0.5, 0.0, 1.0])
     y = np.array([-0.5, 0.0, 1.0])
-    seeds = []
-    for sgn in (1.0, -1.0):
-        pts = np.array([
-            x,
-            [0.35, 0.35 * sgn, 1.0],
-            [0.0, 0.5 * sgn, 1.0],
-            [-0.35, 0.35 * sgn, 1.0],
-            y,
-        ])
-        seeds.append(Polyline(pts))
-    g1 = refine_path(dom, seeds[0], s)
-    g2 = refine_path(dom, seeds[1], s)
+    seeds = [Polyline(np.array([x, [0.35, 0.35 * sgn, 1.0], [0.0, 0.5 * sgn, 1.0],
+                                [-0.35, 0.35 * sgn, 1.0], y])) for sgn in (1.0, -1.0)]
+    g1, g2 = _raise_first(refine_paths(dom, seeds, s))
     A = g1.path.resample(400).vertices
     B = g2.path.resample(400).vertices
     sup_sep = float(np.abs(A - B).max())

@@ -510,24 +510,13 @@ def dispatch(argv):
     except InvalidInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    commands = {"ball": cmd_ball, "smoothcheck": cmd_smoothcheck, "ortho": cmd_ortho,
+                "cusp": cmd_cusp, "renorm": cmd_renorm, "example": cmd_example,
+                "all-examples": cmd_all_examples}
     try:
         if args.command in ("dist", "geodesic"):
             return cmd_dist(args, want_path=args.command == "geodesic")
-        if args.command == "ball":
-            return cmd_ball(args)
-        if args.command == "smoothcheck":
-            return cmd_smoothcheck(args)
-        if args.command == "ortho":
-            return cmd_ortho(args)
-        if args.command == "cusp":
-            return cmd_cusp(args)
-        if args.command == "renorm":
-            return cmd_renorm(args)
-        if args.command == "example":
-            return cmd_example(args)
-        if args.command == "all-examples":
-            return cmd_all_examples(args)
-        return EXIT_USAGE
+        return commands[args.command](args)
     except (QHError, SchemaError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

@@ -3,18 +3,20 @@
 Stage one finds a path in the right homotopy class: Dijkstra on a lattice
 graph whose edge weights are short-segment quasihyperbolic lengths.  Stage
 two descends the (convex) polyline length functional over the free interior
-vertices with a Barzilai-Borwein scaled gradient step and a backtracking
-line search that never leaves the domain; the weight blowing up near the
-boundary acts as a natural barrier.
+vertices with a Barzilai-Borwein step and a backtracking line search that
+never leaves the domain; the weight blowing up near the boundary acts as a
+natural barrier.  The objective is a fixed-node composite Simpson sum,
+smooth except at weight seams, where the boundary distance switches its
+nearest piece; the gradient takes the steeper downhill one-sided difference
+per coordinate, so it vanishes at a kink minimum.
 
-Descent runs on a fixed-node composite Simpson objective, smooth in the
-vertex positions except at weight seams, where the boundary distance
-switches its nearest piece; the finite-difference gradient takes the
-steeper downhill one-sided difference per coordinate, so it is the slope
-on smooth parts and vanishes at a kink minimum.  The final reported length
-is re-evaluated with the adaptive quadrature.  One lockstep
-loop, ``_descend``, runs the descent on a batch of paths: ``refine_path``
-gives it one path, ``batch.solve_batch`` many.
+One driver, ``_coarse_to_fine``, runs every descent on a batch of paths:
+at each level of the vertex doubling, the lockstep loop ``_descend``, then
+relax.  Its two callers differ only in relax policy.  ``refine_paths``
+relaxes every path and keeps a relaxed path only if it is shorter, then
+checks kink stationarity and re-evaluates the length with the adaptive
+quadrature; ``batch.solve_batch`` relaxes only the paths that exit above
+the gradient tolerance.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .geometry import (
     Polyline,
     QHError,
     _as_points,
+    _resample_paths,
     certify_segment,
 )
 from .metric import (
@@ -106,6 +109,8 @@ class GeodesicResult:
 
 _NODES = np.linspace(0.0, 1.0, 7)
 _WEIGHTS = np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]) / 18.0
+_FD_SCALE = 1e-6  # gradient probe step, relative to the boundary distance
+_KINK_SCALES = (1e-6, 3e-4, 1e-2)  # kink-stationarity probe steps, likewise
 
 
 def _segment_values(domain, A, B):
@@ -154,10 +159,10 @@ def _batch_objective(domain, Vs):
     return vals.sum(axis=1), vals
 
 
-def _batch_gradient(domain, Vs, base_vals, fd_scale=1e-6):
+def _batch_gradient(domain, Vs, base_vals):
     """Finite-difference gradient of the fixed-node objective over interior vertices.
 
-    The step is fd_scale times the local boundary distance, so probes stay
+    The step is ``_FD_SCALE`` times the local boundary distance, so probes stay
     inside the domain.  The boundary distance of a CSG domain is a min of
     smooth pieces, so the objective has kinks; per coordinate the steeper
     *downhill* one-sided slope is used, which equals the central difference
@@ -168,7 +173,7 @@ def _batch_gradient(domain, Vs, base_vals, fd_scale=1e-6):
     P, m, dim = Vs.shape
     inner = m - 2
     d_in = domain.depth_many(Vs[:, 1:-1].reshape(-1, dim)).reshape(P, inner)
-    h = fd_scale * d_in
+    h = _FD_SCALE * d_in
     eye = np.eye(dim)
     signs = np.array([1.0, -1.0])
     Pp = (
@@ -296,7 +301,7 @@ def _batch_relax(domain, Vs, vals, active, sweeps):
     return Vs, f, vals
 
 
-def _kink_stationary(domain, V, segvals, d_in, tol, scales=(1e-6, 3e-4, 1e-2)):
+def _kink_stationary(domain, V, segvals, d_in, tol):
     """First-order optimality at weight seams, tested at several probe scales.
 
     The boundary distance of a CSG domain is a min of smooth pieces, so the
@@ -315,7 +320,7 @@ def _kink_stationary(domain, V, segvals, d_in, tol, scales=(1e-6, 3e-4, 1e-2)):
     prev0 = V[:-2]
     nxt0 = V[2:]
     stationary = np.zeros(inner, dtype=bool)
-    for scale in scales:
+    for scale in _KINK_SCALES:
         todo = ~stationary
         if not todo.any():
             break
@@ -361,7 +366,8 @@ def _descend(domain, Vs, ref: RefinementConfig):
 
     No arithmetic mixes paths, so a path gives the same bits alone or
     inside any batch.  The live paths are one contiguous block, compacted
-    only when some path exits.
+    only when some path exits.  A path that starts outside the domain exits
+    at once, with infinite length, no iterations and a NaN gradient norm.
 
     Returns the best iterate of every path (vertices, lengths, segment
     values), the iterations each ran, the gradient norm of its last
@@ -372,8 +378,6 @@ def _descend(domain, Vs, ref: RefinementConfig):
     P, m, dim = Vs.shape
     n = (m - 2) * dim
     f, vals = _batch_objective(domain, Vs)
-    if not np.isfinite(f).all():
-        raise DomainViolationError("initial path is not strictly inside the domain")
     V_out, f_out, vals_out = np.empty_like(Vs), np.empty_like(f), np.empty_like(vals)
     iterations = np.empty(P, dtype=int)
     gnorm = np.empty(P)
@@ -398,7 +402,11 @@ def _descend(domain, Vs, ref: RefinementConfig):
             a[keep] for a in (idx, W, fW, vW, Wb, fb, vb, recent, stagnant, g_prev, s_prev))
         return keep
 
-    for it in range(1, ref.max_iterations + 1):
+    outside = ~np.isfinite(f)
+    if outside.any():
+        retire(outside, 0, np.full(P, np.nan))
+    # no iteration runs when every path started outside
+    for it in range(1, ref.max_iterations + 1 if idx.size else 1):
         g, d_in = _batch_gradient(domain, W, vW)
         gn = np.abs(g).max(axis=(1, 2))
         at_tol = gn <= ref.gradient_tol
@@ -470,21 +478,65 @@ def _descend(domain, Vs, ref: RefinementConfig):
     return V_out, f_out, vals_out, iterations, gnorm, record
 
 
-def _refine_schedule(start, budget):
-    counts = [start]
-    while counts[-1] < budget:
-        counts.append(min(budget, 2 * counts[-1] - 1))
-    return counts
+_START_COUNT = 9  # vertices of the coarsest level
+_OUTSIDE = "initial path is not strictly inside the domain"
 
 
-def _certified_start(domain, init: Polyline, start_count, budget):
+def _coarse_to_fine(domain, Vs, start, budget, ref: RefinementConfig, sweeps,
+                    relax_all, history=None):
+    """Descend, then relax, a batch of paths (P, m, dim) with pinned endpoints
+    at ``start`` vertices and then at each count m -> 2m - 1 up to ``budget``.
+
+    ``sweeps`` = (relax sweeps per level, at the last level).  With
+    ``relax_all`` every path is relaxed and keeps the result only if it is
+    shorter; otherwise only the paths whose descent exits above the
+    gradient tolerance are relaxed, in place.  ``history``, one list per
+    path, collects each new best length.  A path whose level starts outside
+    the domain keeps an infinite length.  Returns the last level's
+    vertices, lengths, segment values and descent gradient norms, and the
+    iterations of all levels.
+    """
+    def improve(p, length):
+        if not history[p] or length < history[p][-1]:
+            history[p].append(float(length))
+
+    iterations = np.zeros(Vs.shape[0], dtype=int)
+    count = start
+    while True:
+        if Vs.shape[1] != count:
+            Vs = _resample_paths(Vs, count)
+        Vs, f, vals, it, gn, record = _descend(domain, Vs, ref)
+        iterations += it
+        for idx, best, better in record if history is not None else ():
+            for p, length in zip(idx[better], best[better]):
+                improve(p, length)
+        del record  # one entry per improving iteration: free it before relax
+        # polish: per-vertex relaxation finishes what shared-step BB crawls on
+        active = np.isfinite(f) if relax_all else gn > ref.gradient_tol
+        level_sweeps = sweeps[1] if count >= budget else sweeps[0]
+        if relax_all and active.any():
+            Vr, fr, vr = _batch_relax(domain, Vs.copy(), vals.copy(), active, level_sweeps)
+            keep = fr < f
+            Vs = np.where(keep[:, None, None], Vr, Vs)
+            vals = np.where(keep[:, None], vr, vals)
+            f = np.where(keep, fr, f)
+            for p in np.flatnonzero(keep) if history is not None else ():
+                improve(p, fr[p])
+        elif active.any():
+            Vs, f, vals = _batch_relax(domain, Vs, vals, active, level_sweeps)
+        if count >= budget:
+            return Vs, f, vals, gn, iterations
+        count = min(budget, 2 * count - 1)
+
+
+def _certified_start(domain, init: Polyline, budget):
     """Coarsest resampling of the seed reachable by an interior straight-line
     homotopy (each point moves by less than its boundary distance), so the
     coarse path cannot land in a different homotopy class than the seed."""
     M = max(4 * init.vertices.shape[0], 256)
     dense = init.resample(M).vertices
     d_dense = domain.depth_many(dense)
-    count = min(start_count, budget)
+    count = min(_START_COUNT, budget)
     while count < budget:
         coarse = Polyline(init.resample(count).vertices).resample(M).vertices
         dev = np.sqrt(np.sum((dense - coarse) ** 2, axis=1))
@@ -494,58 +546,70 @@ def _certified_start(domain, init: Polyline, start_count, budget):
     return count
 
 
-def refine_path(domain, init: Polyline, s: SolverConfig = DEFAULT_SOLVER,
-                q: QuadratureConfig = DEFAULT_QUADRATURE, start_count=9):
-    """Descend the length functional from ``init`` (endpoints pinned).
+def refine_paths(domain, inits, s: SolverConfig = DEFAULT_SOLVER,
+                 q: QuadratureConfig = DEFAULT_QUADRATURE):
+    """Descend the length functional from each seed polyline (endpoints pinned).
 
-    Coarse-to-fine: the path is resampled to a short vertex chain, descended
-    to tolerance, then midpoint-subdivided up to ``s.vertex_budget``.  On a
-    convex domain the functional is convex, so the result is the global
-    minimizer up to discretization.
+    Coarse-to-fine: a seed is resampled to the coarsest vertex chain it
+    certifies, descended to tolerance, then midpoint-subdivided up to
+    ``s.vertex_budget``.  Seeds of one start count run as one batch, and
+    each gets the bits it gets alone.  On a convex domain the functional is
+    convex, so each result is the global minimizer up to discretization.
+    Returns, in seed order, each seed's ``GeodesicResult`` or the
+    ``QHError`` its solve ended with.
     """
-    history = []
-    start = _certified_start(domain, init, start_count, s.vertex_budget)
-    V = init.resample(start).vertices
-    tol = s.refinement.gradient_tol
-    total_iter = 0
-    schedule = _refine_schedule(start, s.vertex_budget)
-    for count in schedule:
-        V = Polyline(V).resample(count).vertices
-        Vb, fb, vb, it, _, record = _descend(domain, V[None], s.refinement)
-        total_iter += int(it[0])
-        for _, best, _ in record:  # one path: every entry improves it
-            if not history or best[0] < history[-1]:
-                history.append(float(best[0]))
-        # polish: per-vertex relaxation finishes what shared-step BB crawls on
-        Vr, fr, vr = _batch_relax(domain, Vb.copy(), vb.copy(), np.ones(1, dtype=bool),
-                                  30 if count == schedule[-1] else 5)
-        if fr[0] < fb[0]:
-            Vb, vb = Vr, vr
-            if not history or fr[0] < history[-1]:
-                history.append(float(fr[0]))
-        # measure optimality at the iterate actually returned
-        g, d_in = _batch_gradient(domain, Vb, vb)
-        gnorm = float(np.abs(g).max())
-        converged = gnorm <= tol or _kink_stationary(domain, Vb[0], vb[0], d_in[0], tol)
-        V = Vb[0]
-    if not converged and gnorm > 50.0 * tol:
-        raise SolverStalledError(
-            f"descent cannot progress: |grad|_inf={gnorm:.3e} after "
-            f"{total_iter} iterations at {s.vertex_budget} vertices"
-        )
-    path = Polyline(V)
-    length = qh_path_length(domain, path, q)
-    gap = length - path_point_lower_bound(domain, path)
-    log_lower_bound(getattr(domain, "name", "") or "domain", length, length - gap)
-    return GeodesicResult(
-        path=path,
-        qh_length=length,
-        lower_bound_gap=float(gap),
-        converged=bool(converged),
-        iterations=total_iter,
-        refinement_history=history,
-        meta={"vertex_count": int(V.shape[0])},
-    )
+    budget, tol = s.vertex_budget, s.refinement.gradient_tol
+    starts = [_certified_start(domain, init, budget) for init in inits]
+    # what a seed keeps when one of its levels starts outside the domain
+    out = [DomainViolationError(_OUTSIDE) for _ in inits]
+    for start in sorted(set(starts)):
+        group = [i for i, c in enumerate(starts) if c == start]
+        # the first level resamples the start chain again, as the one-seed
+        # solver always has: the results' bits depend on it
+        Vs = _resample_paths(np.stack([inits[i].resample(start).vertices for i in group]), start)
+        history = [[] for _ in group]
+        Vs, f, vals, _, iterations = _coarse_to_fine(
+            domain, Vs, start, budget, s.refinement, (5, 30), relax_all=True, history=history)
+        inside = np.flatnonzero(np.isfinite(f))
+        if inside.size:
+            # measure optimality at the iterates actually returned
+            g, d_in = _batch_gradient(domain, Vs[inside], vals[inside])
+            gnorm = np.abs(g).max(axis=(1, 2))
+        for r, j in enumerate(inside):
+            i = group[j]
+            converged = gnorm[r] <= tol or _kink_stationary(domain, Vs[j], vals[j], d_in[r], tol)
+            if not converged and gnorm[r] > 50.0 * tol:
+                out[i] = SolverStalledError(
+                    f"descent cannot progress: |grad|_inf={gnorm[r]:.3e} after "
+                    f"{iterations[j]} iterations at {budget} vertices")
+                continue
+            try:
+                path = Polyline(Vs[j])
+                length = qh_path_length(domain, path, q)
+                gap = length - path_point_lower_bound(domain, path)
+            except QHError as err:
+                out[i] = err
+                continue
+            log_lower_bound(getattr(domain, "name", "") or "domain", length, length - gap)
+            out[i] = GeodesicResult(
+                path=path, qh_length=length, lower_bound_gap=float(gap),
+                converged=bool(converged), iterations=int(iterations[j]),
+                refinement_history=history[j], meta={"vertex_count": int(budget)})
+    return out
+
+
+def _raise_first(results):
+    """The entries of ``refine_paths``; raises the first error among them."""
+    for res in results:
+        if isinstance(res, QHError):
+            raise res
+    return results
+
+
+def refine_path(domain, init: Polyline, s: SolverConfig = DEFAULT_SOLVER,
+                q: QuadratureConfig = DEFAULT_QUADRATURE):
+    """``refine_paths`` on the one seed ``init``; raises its ``QHError``."""
+    return _raise_first(refine_paths(domain, [init], s, q))[0]
 
 
 def path_point_lower_bound(domain, path: Polyline):
@@ -573,19 +637,14 @@ _OFFSETS_3D = [
 
 def _grid_window(domain, x, y):
     lo_hint, hi_hint = domain.window_hint()
-    dim = domain.dimension
     pts = np.stack([x, y])
     d = domain.boundary_distance_many(pts)
     pad = max(float(np.linalg.norm(x - y)), float(d.max()) * 2.0, 0.5)
     lo = pts.min(axis=0) - pad
     hi = pts.max(axis=0) + pad
-    out_lo, out_hi = [], []
-    for j in range(dim):
-        l = lo[j] if lo_hint[j] is None else max(lo[j], lo_hint[j])
-        h = hi[j] if hi_hint[j] is None else min(hi[j], hi_hint[j])
-        out_lo.append(l)
-        out_hi.append(h)
-    return np.array(out_lo), np.array(out_hi)
+    lo = [l if b is None else max(l, b) for l, b in zip(lo, lo_hint)]
+    hi = [h if b is None else min(h, b) for h, b in zip(hi, hi_hint)]
+    return np.array(lo), np.array(hi)
 
 
 class _GridGraph:
@@ -684,11 +743,7 @@ class _GridGraph:
         while chain[-1] != self.src:
             chain.append(int(pred[chain[-1]]))
         chain.reverse()
-        verts = [self.x]
-        for node in chain[1:-1]:
-            verts.append(self.pts[node])
-        verts.append(self.y)
-        V = np.array(verts)
+        V = np.vstack([self.x, self.pts[chain[1:-1]], self.y])
         keep = np.ones(len(V), dtype=bool)
         keep[1:] &= np.sqrt(np.sum(np.diff(V, axis=0) ** 2, axis=1)) > 1e-12
         return Polyline(V[keep], meta={"grid_cost": float(dist[self.dst])}), chain
@@ -749,8 +804,7 @@ def qh_distance(domain, x, y, s: SolverConfig = DEFAULT_SOLVER,
             path=None, qh_length=0.0, lower_bound_gap=0.0, converged=True,
             iterations=0, refinement_history=[], meta={"degenerate": True},
         )
-    init = grid_init(domain, x, y, s)
-    return refine_path(domain, init, s, q)
+    return refine_path(domain, grid_init(domain, x, y, s), s, q)
 
 
 def geodesic_multiplicity(domain, x, y, s: SolverConfig = DEFAULT_SOLVER,
@@ -766,44 +820,33 @@ def geodesic_multiplicity(domain, x, y, s: SolverConfig = DEFAULT_SOLVER,
     Y, _ = _as_points(y, domain.dimension)
     x, y = X[0], Y[0]
     if seeds is None:
-        seeds = []
         if domain.is_convex:
-            seeds.append(_chord_polyline(x, y))
-            graph = None
+            # perturbed chords all fall back to the same geodesic
+            chord = _chord_polyline(x, y)
+            seeds = [chord]
+            rng = np.random.default_rng(s.rng_seed)
+            arch = np.sin(np.pi * np.linspace(0.0, 1.0, 9))[:, None]
+            for _ in range(s.seed_count - 1):
+                mid_bump = rng.normal(scale=0.1 * np.linalg.norm(y - x), size=domain.dimension)
+                cand = chord.vertices + arch * mid_bump[None, :]
+                if domain.contains_many(cand).all():
+                    seeds.append(Polyline(cand))
         else:
             graph = _GridGraph(domain, x, y, s.grid_resolution)
             first, _ = graph.shortest_path()
-            seeds.append(first)
-        if graph is not None:
+            seeds = [first]
             radius = max(2.0 * graph.h, 0.12 * float(np.linalg.norm(x - y)))
-            found = [seeds[0]]
             for _ in range(s.seed_count - 1):
-                mask = graph.edge_penalty_mask(found, radius)
+                mask = graph.edge_penalty_mask(seeds, radius)
                 try:
                     alt, _ = graph.shortest_path(penalty_mask=mask)
                 except NoPathError:
                     break
                 seeds.append(alt)
-                found.append(alt)
-        else:
-            # convex: perturbed chords all fall back to the same geodesic
-            rng = np.random.default_rng(s.rng_seed)
-            for _ in range(s.seed_count - 1):
-                mid_bump = rng.normal(scale=0.1 * np.linalg.norm(y - x), size=domain.dimension)
-                t = np.linspace(0.0, 1.0, 9)
-                V = x[None, :] + t[:, None] * (y - x)[None, :]
-                bump = np.sin(np.pi * t)[:, None] * mid_bump[None, :]
-                cand = V + bump
-                if domain.contains_many(cand).all():
-                    seeds.append(Polyline(cand))
-    results = []
-    for seed in seeds:
-        try:
-            res = refine_path(domain, seed, s, q)
-        except (SolverStalledError, DomainViolationError):
-            continue
-        if res.converged:
-            results.append(res)
+    # a seed that stalls or leaves the domain is skipped; any other error is raised
+    solved = [r for r in refine_paths(domain, seeds, s, q)
+              if not isinstance(r, (SolverStalledError, DomainViolationError))]
+    results = [r for r in _raise_first(solved) if r.converged]
     if not results:
         raise SolverStalledError("no seed converged")
     kmin = min(r.qh_length for r in results)
@@ -817,16 +860,8 @@ def dedupe_geodesics(results, rel_sup_tol=1e-2, samples=96):
     sampled = []
     for r in sorted(results, key=lambda r: r.qh_length):
         P = r.path.resample(samples).vertices
-        diam = max(
-            float(np.linalg.norm(P.max(axis=0) - P.min(axis=0))), 1e-12
-        )
-        dup = False
-        for Q in sampled:
-            sup = float(np.abs(P - Q).max())
-            if sup < rel_sup_tol * diam:
-                dup = True
-                break
-        if not dup:
+        diam = max(float(np.linalg.norm(P.max(axis=0) - P.min(axis=0))), 1e-12)
+        if not any(float(np.abs(P - Q).max()) < rel_sup_tol * diam for Q in sampled):
             kept.append(r)
             sampled.append(P)
     return kept

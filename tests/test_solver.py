@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from qhtk.batch import solve_batch
+from qhtk.cases import OMEGA_SOLVER, SQRT3, build_omega_n, omega_endpoints, sign_pattern_seed
 from qhtk.geometry import (
     DomainSpec,
+    DomainViolationError,
     InvalidInputError,
     NormSpec,
     Polyline,
+    QHError,
+    StarlikeDomain3D,
     certify_segment,
     half_plane,
     prolongation_polygon,
@@ -23,6 +27,7 @@ from qhtk.metric import (
     qh_path_length,
 )
 from qhtk.solver import (
+    GeodesicResult,
     NoPathError,
     RefinementConfig,
     SolverConfig,
@@ -32,10 +37,13 @@ from qhtk.solver import (
     _batch_objective,
     _batch_relax,
     _batch_screen,
+    _certified_start,
     _segment_values,
     geodesic_multiplicity,
     grid_init,
     qh_distance,
+    refine_path,
+    refine_paths,
 )
 from qhtk.io import resolve_domain
 
@@ -454,3 +462,79 @@ def test_screen_matches_row_major_reference(name):
         assert np.array_equal(got, reference_screen(domain, Vs))
         if P > 1:
             assert got.any() and not got[-1]
+
+
+# --- refine_paths: one batch per start count --------------------------------
+
+def _refine_one(domain, seed, s):
+    """``refine_path``'s result for one seed, or the QHError it raises."""
+    try:
+        return refine_path(domain, seed, s)
+    except QHError as err:
+        return err
+
+
+def _assert_same_entry(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, QHError):
+        assert str(a) == str(b)
+        return
+    assert np.array_equal(a.path.vertices, b.path.vertices)
+    assert a.qh_length == b.qh_length
+    assert a.lower_bound_gap == b.lower_bound_gap
+    assert a.converged == b.converged
+    assert a.iterations == b.iterations
+    assert a.refinement_history == b.refinement_history
+    assert a.meta == b.meta
+
+
+def _starlike_seeds():
+    x, y = np.array([0.5, 0.0, 1.0]), np.array([-0.5, 0.0, 1.0])
+    return [Polyline(np.array([x, [0.35, 0.35 * sgn, 1.0], [0.0, 0.5 * sgn, 1.0],
+                               [-0.35, 0.35 * sgn, 1.0], y])) for sgn in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("case", ["omega-3", "starlike3d"])
+def test_refine_paths_matches_one_seed_solves(case):
+    # every seed of a verdict's batch gets the bits it gets alone, in seed order
+    if case == "omega-3":
+        domain, s = build_omega_n(3), OMEGA_SOLVER[3]
+        seeds = [sign_pattern_seed(3, signs) for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    else:
+        domain = StarlikeDomain3D()
+        s = SolverConfig(vertex_budget=65, refinement=RefinementConfig(
+            max_iterations=80, gradient_tol=5e-4))
+        seeds = _starlike_seeds()
+    batch = refine_paths(domain, seeds, s)
+    assert len(batch) == len(seeds)
+    for seed, entry in zip(seeds, batch):
+        assert isinstance(entry, GeodesicResult)
+        _assert_same_entry(entry, _refine_one(domain, seed, s))
+
+
+def test_refine_paths_mixed_starts_and_a_seed_outside():
+    domain = build_omega_n(3)
+    s = SolverConfig(vertex_budget=17, refinement=RefinementConfig(
+        max_iterations=60, gradient_tol=5e-4))
+    x, y = omega_endpoints(3)
+    # a seed that hugs both removed points certifies only at 17 vertices
+    top = np.linspace(np.pi, 0.0, 13)
+    bottom = np.linspace(np.pi, 2.0 * np.pi, 13)
+    hugging = Polyline(np.vstack([
+        x, 0.1 * np.stack([np.cos(top), np.sin(top)], axis=1), [[SQRT3 / 2.0, 0.0]],
+        [SQRT3, 0.0] + 0.1 * np.stack([np.cos(bottom), np.sin(bottom)], axis=1), y]))
+    # a sign seed with one waypoint pulled out of the rectangle
+    V = sign_pattern_seed(3, (1, 1)).vertices.copy()
+    V[2, 1] = 1.2
+    outside = Polyline(V)
+    seeds = [sign_pattern_seed(3, (1, -1)), hugging, outside, sign_pattern_seed(3, (-1, -1))]
+    assert [_certified_start(domain, seed, 17) for seed in seeds] == [9, 17, 17, 9]
+    batch = refine_paths(domain, seeds, s)
+    assert isinstance(batch[2], DomainViolationError)
+    for i in (0, 1, 3):
+        assert isinstance(batch[i], GeodesicResult)
+    for seed, entry in zip(seeds, batch):
+        _assert_same_entry(entry, _refine_one(domain, seed, s))
+    with pytest.raises(DomainViolationError) as err:
+        refine_path(domain, outside, s)
+    assert str(err.value) == str(batch[2])
