@@ -362,7 +362,7 @@ RADIUS_SOLVER = SolverConfig(refinement=RefinementConfig(
     max_iterations=40, gradient_tol=2e-4, length_rel_tol=1e-9))
 
 
-def directional_radii(domain, center, dirs, level, s: SolverConfig = None,
+def directional_radii(domain, center, dirs, level, s: SolverConfig = RADIUS_SOLVER,
                       vertex_count=25, rounds=18, rel_tol=3e-6):
     """Radii s_k with k(center, center + s_k u_k) = level, all at once.
 
@@ -375,10 +375,12 @@ def directional_radii(domain, center, dirs, level, s: SolverConfig = None,
     k >= max(log(1 + s/(L-s)), log(1 + s/d(center))), so the sphere lies
     below min(L (1 - e^{-level}), d(center) (e^{level} - 1)).  No
     arithmetic mixes directions and ``solve_batch`` is batch-invariant,
-    so a radius keeps its bits whatever directions share the call.
+    so a radius keeps its bits whatever directions share the call.  The
+    ray limits are exact only on a convex domain; others raise
+    ``InvalidInputError``.
     """
-    if s is None:
-        s = RADIUS_SOLVER
+    if not domain.is_convex:
+        raise InvalidInputError("directional radii need a convex domain")
     center = np.asarray(center, dtype=float)
     U = np.asarray(dirs, dtype=float)
     U = U / np.sqrt((U * U).sum(axis=1, keepdims=True))
@@ -438,10 +440,13 @@ def directional_radii(domain, center, dirs, level, s: SolverConfig = None,
 
 
 def _boundary_ray_limits(domain, origin, U, cap=1e6):
-    """sup { s : origin + s u inside } for every row u of U, in lockstep:
-    each ray doubles s from 1 until it leaves the domain (its limit is
-    ``cap`` once s passes it), then bisects that bracket 80 times, every
-    step one ``contains_many`` call over the rays still in that phase."""
+    """Where the ray origin + s u leaves the domain, for every row u of U,
+    in lockstep: each ray doubles s from 1 until it probes a point outside
+    (its limit is ``cap`` once s passes it), then bisects that bracket 80
+    times, every step one ``contains_many`` call over the rays still in
+    that phase.  On a convex domain this is sup { s : origin + s u inside };
+    otherwise it is only some exit, and the probes never see removed
+    points or segments."""
     U = np.atleast_2d(U)
     lo, hi = np.zeros(U.shape[0]), np.ones(U.shape[0])
     capped = np.zeros(U.shape[0], dtype=bool)

@@ -73,12 +73,23 @@ def _solver_config(args):
     return SolverConfig(
         grid_resolution=args.resolution,
         vertex_budget=args.budget,
-        seed_count=args.seeds,
         rng_seed=args.seed,
         refinement=RefinementConfig(
             max_iterations=args.max_iterations,
             gradient_tol=args.gradient_tol,
         ),
+    )
+
+
+def _clipped_window(domain, center, reach):
+    """The planar window center +- reach, clipped 1e-6 inside the domain's hint."""
+    lo_hint, hi_hint = domain.window_hint()
+    return tuple(
+        (
+            center[j] - reach if lo_hint[j] is None else max(center[j] - reach, lo_hint[j] + 1e-6),
+            center[j] + reach if hi_hint[j] is None else min(center[j] + reach, hi_hint[j] - 1e-6),
+        )
+        for j in range(2)
     )
 
 
@@ -151,19 +162,8 @@ def cmd_ball(args):
     center = _point(args.center)
     window = _window(args.window) if args.window else None
     if window is None:
-        d0 = domain.boundary_distance(center)
-        reach = d0 * float(np.expm1(args.r))
-        lo_hint, hi_hint = domain.window_hint()
-        lo = [center[j] - reach for j in range(2)]
-        hi = [center[j] + reach for j in range(2)]
-        margin = 1e-6
-        window = tuple(
-            (
-                lo[j] if lo_hint[j] is None else max(lo[j], lo_hint[j] + margin),
-                hi[j] if hi_hint[j] is None else min(hi[j], hi_hint[j] - margin),
-            )
-            for j in range(2)
-        )
+        reach = domain.boundary_distance(center) * float(np.expm1(args.r))
+        window = _clipped_window(domain, center, reach)
     field = distance_field(domain, center, window, args.field_resolution)
     contour = ball_contour(field, args.r)
     rpath = _result_paths(args.out, "ball")
@@ -239,16 +239,8 @@ def cmd_ortho(args):
     rad = directional_radii(domain, center, u[None, :], args.r)[0]
     x = center + rad * u
     res = qh_distance(domain, center, x)
-    d0 = domain.boundary_distance(center)
-    reach = d0 * float(np.expm1(args.r)) * 1.05
-    lo_hint, hi_hint = domain.window_hint()
-    window = tuple(
-        (
-            center[j] - reach if lo_hint[j] is None else max(center[j] - reach, lo_hint[j] + 1e-6),
-            center[j] + reach if hi_hint[j] is None else min(center[j] + reach, hi_hint[j] - 1e-6),
-        )
-        for j in range(2)
-    )
+    reach = domain.boundary_distance(center) * float(np.expm1(args.r)) * 1.05
+    window = _clipped_window(domain, center, reach)
     field = distance_field(domain, center, window, args.field_resolution)
     contour = ball_contour(field, args.r)
     tsched = [float(t) for t in args.tschedule.split(",")]
@@ -422,11 +414,6 @@ def build_parser():
     def common(sp):
         sp.add_argument("--out", default="qh-out")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--resolution", type=float, default=32.0)
-        sp.add_argument("--budget", type=int, default=49)
-        sp.add_argument("--seeds", type=int, default=4)
-        sp.add_argument("--max-iterations", type=int, default=200)
-        sp.add_argument("--gradient-tol", type=float, default=1e-4)
 
     for name in ("dist", "geodesic"):
         sp = sub.add_parser(name)
@@ -434,6 +421,11 @@ def build_parser():
         sp.add_argument("--from", dest="frm", required=True)
         sp.add_argument("--to", required=True)
         sp.add_argument("--svg", action="store_true")
+        # only these two commands hand solver settings to the solver
+        sp.add_argument("--resolution", type=float, default=32.0)
+        sp.add_argument("--budget", type=int, default=49)
+        sp.add_argument("--max-iterations", type=int, default=200)
+        sp.add_argument("--gradient-tol", type=float, default=1e-4)
         common(sp)
 
     sp = sub.add_parser("ball")

@@ -13,18 +13,14 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .ball import _boundary_ray_limits, directional_radii
+from .ball import RADIUS_SOLVER, _boundary_ray_limits, directional_radii
 from .batch import solve_batch
 from .geometry import InvalidInputError, QHError
-from .solver import RefinementConfig, SolverConfig
+from .solver import SolverConfig
 
 
 class ConfigurationError(QHError):
     """The domain does not satisfy the renorming hypotheses."""
-
-
-NORM_SOLVER = SolverConfig(refinement=RefinementConfig(
-    max_iterations=40, gradient_tol=2e-4, length_rel_tol=1e-9))
 
 
 class InducedNorm:
@@ -38,7 +34,7 @@ class InducedNorm:
     ``directional_radii`` call, which is batch-invariant.
     """
 
-    def __init__(self, domain, r, s: SolverConfig = NORM_SOLVER,
+    def __init__(self, domain, r, s: SolverConfig = RADIUS_SOLVER,
                  vertex_count=25, rounds=18, eval_tol=4e-4,
                  precheck_pairs=100, rng_seed=0, table=256):
         if not domain.is_convex:
@@ -206,7 +202,7 @@ def symmetric_hausdorff(A, B):
 
 
 def hausdorff_convergence(domain, radii, directions=128,
-                          s: SolverConfig = NORM_SOLVER, vertex_count=25):
+                          s: SolverConfig = RADIUS_SOLVER, vertex_count=25):
     """Hausdorff gap between the sphere of B_k(0, r) and the domain sphere.
 
     The domain is the open unit ball of its own gauge norm; as r grows the
@@ -215,6 +211,8 @@ def hausdorff_convergence(domain, radii, directions=128,
     """
     if domain.dimension != 2:
         raise InvalidInputError("Hausdorff series is computed on planar domains")
+    if not domain.is_convex:
+        raise InvalidInputError("Hausdorff series need a convex domain")
     th = np.linspace(0, 2 * np.pi, directions, endpoint=False)
     U = np.stack([np.cos(th), np.sin(th)], axis=1)
     R_dom = domain_directional_radius(domain, U)

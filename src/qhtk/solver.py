@@ -21,6 +21,7 @@ the gradient tolerance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,19 +134,53 @@ def _segment_values(domain, A, B):
     bad = outside.any(axis=0)
     r[outside] = 1.0
     np.reciprocal(r, out=r)
-    vals = lens * (np.ascontiguousarray(r.T) @ _WEIGHTS)
+    # a lone row would contract through BLAS dot, which rounds unlike the
+    # batched gemv: contract it as two equal rows
+    R = np.ascontiguousarray(r.T) if r.shape[1] != 1 else np.repeat(r.T, 2, axis=0)
+    vals = lens * (R @ _WEIGHTS)[:A.shape[0]]
     vals[bad] = np.inf
     return vals
 
 
+_MOVE_BLOCK = 1 << 12  # candidates per _segment_values call (two segments each)
+
+
+def _move_costs(domain, W, cols, C):
+    """Fixed-node cost of the two segments at vertex ``cols`` of every path
+    of ``W`` (P, m, dim) if that vertex moves to a candidate of ``C``
+    (P, k, K, dim): [W[:, cols - 1], c] + [c, W[:, cols + 1]], shape (P, k, K).
+
+    Blocks of whole (path, vertex) rows, at most ``_MOVE_BLOCK`` candidates
+    unless one row holds more, keep the temporaries bounded at any batch
+    size; no value depends on the blocking.
+    """
+    P, k, K, dim = C.shape
+    prev = W[:, cols - 1].reshape(-1, dim)
+    nxt = W[:, cols + 1].reshape(-1, dim)
+    C = C.reshape(-1, dim)
+    out = np.empty(C.shape[0])
+    rows = max(1, _MOVE_BLOCK // K)
+    for lo in range(0, prev.shape[0], rows):
+        c = C[lo * K:(lo + rows) * K]
+        n = c.shape[0]
+        sv = _segment_values(domain, np.concatenate([np.repeat(prev[lo:lo + rows], K, axis=0), c]),
+                             np.concatenate([c, np.repeat(nxt[lo:lo + rows], K, axis=0)]))
+        np.add(sv[:n], sv[n:], out=out[lo * K:lo * K + n])
+    return out.reshape(P, k, K)
+
+
+@functools.cache
 def _directions(dim):
-    """Unit probe directions: each coordinate axis both ways, then every diagonal."""
+    """Unit probe directions, read-only: each coordinate axis both ways,
+    then every diagonal."""
     dirs = []
     for e in np.eye(dim):
         dirs += [e, -e]
     for signs in np.ndindex(*(2,) * dim):
         dirs.append(np.where(np.array(signs) == 0, 1.0, -1.0) / np.sqrt(dim))
-    return np.stack(dirs)
+    dirs = np.stack(dirs)
+    dirs.setflags(write=False)
+    return dirs
 
 
 # The descent kernels below act on a batch of paths Vs of shape (P, m, dim)
@@ -174,19 +209,9 @@ def _batch_gradient(domain, Vs, base_vals):
     inner = m - 2
     d_in = domain.depth_many(Vs[:, 1:-1].reshape(-1, dim)).reshape(P, inner)
     h = _FD_SCALE * d_in
-    eye = np.eye(dim)
-    signs = np.array([1.0, -1.0])
-    Pp = (
-        Vs[:, 1:-1][:, :, None, None, :]
-        + h[:, :, None, None, None] * eye[None, None, :, None, :] * signs[None, None, None, :, None]
-    )  # (P, inner, dim, 2, dim)
-    prev = np.broadcast_to(Vs[:, :-2][:, :, None, None, :], Pp.shape)
-    nxt = np.broadcast_to(Vs[:, 2:][:, :, None, None, :], Pp.shape)
-    A = np.concatenate([prev.reshape(-1, dim), Pp.reshape(-1, dim)])
-    B = np.concatenate([Pp.reshape(-1, dim), nxt.reshape(-1, dim)])
-    vals = _segment_values(domain, A, B)
-    half = vals.size // 2
-    F = (vals[:half] + vals[half:]).reshape(P, inner, dim, 2)
+    # +h and -h along each axis in turn
+    C = Vs[:, 1:-1, None, :] + h[:, :, None, None] * _directions(dim)[:2 * dim]
+    F = _move_costs(domain, Vs, np.arange(1, m - 1), C).reshape(P, inner, dim, 2)
     base = (base_vals[:, :-1] + base_vals[:, 1:])[:, :, None]
     with np.errstate(invalid="ignore"):
         down_plus = (base - F[..., 0]) / h[:, :, None]   # > 0: +e_c is downhill
@@ -220,7 +245,6 @@ def _batch_screen(domain, Vs):
 
 
 _RELAX_STEPS = 0.5 ** np.array([0, 1, 2, 3, 4, 5, 6, 7, 9, 11, 13])
-_RELAX_BLOCK = 1 << 13  # candidate segments per _segment_values call
 
 
 def _batch_relax(domain, Vs, vals, active, sweeps):
@@ -263,30 +287,20 @@ def _batch_relax(domain, Vs, vals, active, sweeps):
             )  # (p, k, J, dim)
             # parity classes move in turn, so these vertices are where the gradient saw them
             delta = 0.45 * d_in[:, cols - 1]
-            # candidate positions over direction x step ladder
+            # candidate positions over direction x step ladder, (p, k, J * T, dim)
             C = (
                 W[:, cols][:, :, None, None, :]
                 + (delta[:, :, None, None] * _RELAX_STEPS[None, None, None, :])[..., None]
                 * dirs[:, :, :, None, :]
-            )  # (p, k, J, T, dim)
-            J, T = dirs.shape[2], _RELAX_STEPS.size
-            prev = np.broadcast_to(W[:, cols - 1][:, :, None, None, :], C.shape)
-            nxt = np.broadcast_to(W[:, cols + 1][:, :, None, None, :], C.shape)
-            A = np.concatenate([prev.reshape(-1, dim), C.reshape(-1, dim)])
-            B = np.concatenate([C.reshape(-1, dim), nxt.reshape(-1, dim)])
-            # blocks bound the temporaries at any batch size; no value depends on its block
-            parts = -(-A.shape[0] // _RELAX_BLOCK)
-            sv = np.concatenate([_segment_values(domain, a, b) for a, b in
-                                 zip(np.array_split(A, parts), np.array_split(B, parts))])
-            half = sv.size // 2
-            F = (sv[:half] + sv[half:]).reshape(idxp.size, cols.size, J * T)
+            ).reshape(idxp.size, cols.size, -1, dim)
+            F = _move_costs(domain, W, cols, C)
             base = wvals[:, cols - 1] + wvals[:, cols]
             best = F.argmin(axis=2)
             pi, ki = np.indices(best.shape)
             gain = base - F[pi, ki, best]
             take = gain > 1e-14 * np.maximum(np.abs(f[idxp, None]), 1.0)
             if take.any():
-                newpos = C.reshape(idxp.size, cols.size, J * T, dim)[pi, ki, best]
+                newpos = C[pi, ki, best]
                 Wn = W.copy()
                 Wn[:, cols] = np.where(take[:, :, None], newpos, W[:, cols])
                 cert = _batch_screen(domain, Wn)
@@ -315,24 +329,15 @@ def _kink_stationary(domain, V, segvals, d_in, tol):
     m, dim = V.shape
     inner = m - 2
     base = segvals[:-1] + segvals[1:]
-    D = _directions(dim)
-    K = D.shape[0]
-    prev0 = V[:-2]
-    nxt0 = V[2:]
     stationary = np.zeros(inner, dtype=bool)
     for scale in _KINK_SCALES:
         todo = ~stationary
         if not todo.any():
             break
         h = scale * d_in[todo]
-        P = V[1:-1][todo][:, None, :] + h[:, None, None] * D[None, :, :]
-        prev = np.broadcast_to(prev0[todo][:, None, :], P.shape)
-        nxt = np.broadcast_to(nxt0[todo][:, None, :], P.shape)
-        A = np.concatenate([prev.reshape(-1, dim), P.reshape(-1, dim)])
-        B = np.concatenate([P.reshape(-1, dim), nxt.reshape(-1, dim)])
-        vals = _segment_values(domain, A, B)
-        half = vals.size // 2
-        F = (vals[:half] + vals[half:]).reshape(-1, K)
+        cols = np.flatnonzero(todo) + 1
+        C = V[cols][:, None, :] + h[:, None, None] * _directions(dim)
+        F = _move_costs(domain, V[None], cols, C[None])[0]
         dd = (F - base[todo][:, None]) / h[:, None]
         stationary[todo] = (dd >= -tol).all(axis=1)
     return bool(stationary.all())
@@ -647,6 +652,17 @@ def _grid_window(domain, x, y):
     return np.array(lo), np.array(hi)
 
 
+def _links(domain, a, b, da, db, length):
+    """Which links [a_i, b_i] stay inside, and the 3-node Simpson weight of
+    each one that does.  ``da``, ``db`` are the end depths and ``length``
+    the link lengths; each argument is an array or broadcasts like one."""
+    dm = domain.depth_many(0.5 * (a + b))
+    # a link can only exit if it is longer than the distance budget
+    ok = (da + db > length) | ((dm > 0) & (da + dm > 0.5 * length) & (dm + db > 0.5 * length))
+    da, db, dm, length = (np.broadcast_to(v, ok.shape)[ok] for v in (da, db, dm, length))
+    return ok, length * (1.0 / da + 4.0 / np.maximum(dm, 1e-300) + 1.0 / db) / 6.0
+
+
 class _GridGraph:
     """Lattice graph over a window with quasihyperbolic edge weights."""
 
@@ -684,20 +700,10 @@ class _GridGraph:
             si, di = si[ok], di[ok]
             if si.size == 0:
                 continue
-            a, b = pts[si], pts[di]
             length = float(np.linalg.norm(np.array(off))) * h
-            mid = 0.5 * (a + b)
-            dm = domain.depth_many(mid)
-            da, db = depth[si], depth[di]
-            # a segment can only exit if it is longer than the distance budget
-            passable = (da + db > length) | (
-                (dm > 0) & (da + dm > 0.5 * length) & (dm + db > 0.5 * length)
-            )
-            si, di, dm = si[passable], di[passable], dm[passable]
-            da, db = da[passable], db[passable]
-            w = length * (1.0 / da + 4.0 / np.maximum(dm, 1e-300) + 1.0 / db) / 6.0
-            rows.append(si)
-            cols.append(di)
+            ok, w = _links(domain, pts[si], pts[di], depth[si], depth[di], length)
+            rows.append(si[ok])
+            cols.append(di[ok])
             wts.append(w)
         n = pts.shape[0]
         # two extra vertices for the exact endpoints
@@ -710,17 +716,10 @@ class _GridGraph:
             near = np.nonzero(self.valid & (dist <= 2.05 * h) & (dist > 0))[0]
             if near.size == 0:
                 raise NoPathError("endpoint is isolated at this grid resolution")
-            a = np.broadcast_to(p, (near.size, dim))
-            mid = 0.5 * (a + pts[near])
-            dm = domain.depth_many(mid)
-            dn = dist[near]
-            ok = (dp + depth[near] > dn) | (
-                (dm > 0) & (dp + dm > 0.5 * dn) & (dm + depth[near] > 0.5 * dn)
-            )
-            near, dm, dn = near[ok], dm[ok], dn[ok]
+            ok, w = _links(domain, p, pts[near], dp, depth[near], dist[near])
+            near = near[ok]
             if near.size == 0:
                 raise NoPathError("endpoint cannot be linked into the lattice")
-            w = dn * (1.0 / dp + 4.0 / np.maximum(dm, 1e-300) + 1.0 / depth[near]) / 6.0
             rows.append(np.full(near.size, tag))
             cols.append(near)
             wts.append(w)

@@ -25,6 +25,7 @@ from qhtk.geometry import (
     unit_ball,
 )
 from qhtk.metric import halfplane_distance_oracle
+from qhtk.renorm import hausdorff_convergence
 from qhtk.solver import qh_distance
 
 HP = half_plane()
@@ -264,6 +265,16 @@ def test_directional_radii_keep_bits_in_any_batch(domain, level):
     rho = directional_radii(domain, np.zeros(2), U, level)
     for j in (0, 13):
         assert directional_radii(domain, np.zeros(2), U[j:j + 1], level)[0] == rho[j]
+
+
+def test_radii_refuse_a_nonconvex_domain():
+    # the ray limits that bracket a radius cannot see omega-3's slits or
+    # removed points: 8 of 64 rays from (0.4, 0.3) report the wall behind a slit
+    omega3 = build_omega_n(3)
+    with pytest.raises(InvalidInputError):
+        directional_radii(omega3, np.array([0.4, 0.3]), np.array([[1.0, 0.0]]), 1.0)
+    with pytest.raises(InvalidInputError):
+        hausdorff_convergence(omega3, [1.0], directions=8)
 
 
 def test_convexity_check_passes_on_strip(strip_field):

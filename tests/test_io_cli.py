@@ -128,6 +128,15 @@ def test_cli_usage_code():
     assert dispatch(["not-a-command"]) == EXIT_USAGE
 
 
+def test_cli_solver_flags_only_where_read(tmp_path):
+    # ball runs no qh_distance, so a solver flag there is a usage error
+    out = tmp_path / "out"
+    rc = dispatch(["ball", "--domain", "strip", "--center", "0,0", "--r", "1",
+                   "--budget", "9", "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert not out.exists()
+
+
 def test_cli_verdict_fail_is_distinct_from_error(tmp_path, monkeypatch):
     # inject a failing verdict: prolongation with impossible tolerance via
     # a stubbed case (exit code 1, not 2)

@@ -31,6 +31,7 @@ from qhtk.solver import (
     NoPathError,
     RefinementConfig,
     SolverConfig,
+    _MOVE_BLOCK,
     _NODES,
     _SCREEN_NODES,
     _WEIGHTS,
@@ -38,6 +39,7 @@ from qhtk.solver import (
     _batch_relax,
     _batch_screen,
     _certified_start,
+    _move_costs,
     _segment_values,
     geodesic_multiplicity,
     grid_init,
@@ -443,6 +445,45 @@ def test_segment_values_match_row_major_reference(name):
         got = _segment_values(domain, A, B)
         assert np.array_equal(got, reference_segment_values(domain, A, B))
         assert got[-1] == np.inf and np.isfinite(got[0])
+
+
+@pytest.mark.parametrize("name", ["half-plane", "polygon-P", "omega-n:3/p4"])
+def test_lone_segment_keeps_its_batched_bits(name):
+    # a one-row contraction must round like the batched one
+    domain = KERNEL_DOMAINS[name]
+    rng = np.random.default_rng(23)
+    A = _interior_points(domain, 200, rng)
+    B = A + 0.5 * _steps(domain, A, rng)
+    batched = _segment_values(domain, A, B)
+    alone = np.array([_segment_values(domain, A[i:i + 1], B[i:i + 1])[0] for i in range(200)])
+    assert np.array_equal(alone, batched)
+
+
+@pytest.mark.parametrize("P, k, K", [(1, 17, 241), (17, 241, 1)])
+def test_move_costs_match_segment_pairs(P, k, K):
+    # one candidate more than a block: the blocks hold whole (path, vertex)
+    # rows, so K = 241 splits 16 + 1 rows and K = 1 splits 4,096 + 1; the
+    # first and the last candidate leave the domain
+    assert P * k * K == _MOVE_BLOCK + 1
+    domain = KERNEL_DOMAINS["omega-n:3"]
+    rng = np.random.default_rng(24)
+    m = k + 2
+    W = np.empty((P, m, 2))
+    W[:, 0] = _interior_points(domain, P, rng)
+    for j in range(1, m):
+        W[:, j] = W[:, j - 1] + 0.25 * _steps(domain, W[:, 0], rng)
+    cols = np.arange(1, m - 1)
+    X = np.repeat(W[:, cols], K, axis=1).reshape(P, k, K, 2)
+    C = X + 1.2 * _steps(domain, X.reshape(-1, 2), rng).reshape(X.shape)
+    C[0, 0, 0] = C[-1, -1, -1] = _outside_point(domain, rng)
+    got = _move_costs(domain, W, cols, C)
+    ref = np.empty((P, k, K))
+    for p, j, c in np.ndindex(P, k, K):
+        a, b, x = W[p, cols[j] - 1], W[p, cols[j] + 1], C[p, j, c]
+        sv = _segment_values(domain, np.stack([a, x]), np.stack([x, b]))
+        ref[p, j, c] = sv[0] + sv[1]
+    assert np.array_equal(got, ref)
+    assert np.isinf(got[0, 0, 0]) and np.isinf(got[-1, -1, -1]) and np.isfinite(got).any()
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_DOMAINS))
