@@ -29,9 +29,7 @@ from .geometry import (
     unit_ball,
 )
 from .metric import (
-    DEFAULT_QUADRATURE,
     EvaluationError,
-    QuadratureConfig,
     halfplane_distance_oracle,
     punctured_distance_oracle,
     qh_lower_bound,

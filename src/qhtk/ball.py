@@ -94,12 +94,15 @@ def _worker_count():
         raise InvalidInputError(f"QH_THREADS must be an integer, got {raw!r}") from None
 
 
-def distance_field(domain, center, window, resolution, s: SolverConfig = FIELD_SOLVER,
-                   vertex_count=17, chunk=1400):
+_FIELD_CHUNK = 1400  # nodes per solve_batch call, the unit of work of a worker thread
+
+
+def distance_field(domain, center, window, resolution, vertex_count=17):
     """Sample k(center, .) on a lattice of spacing 1/resolution.
 
     Every node is an independent batched solve from the center (chord
-    seeds; field domains are convex).  Nodes outside the domain are NaN.
+    seeds; field domains are convex) at ``FIELD_SOLVER``.  Nodes outside
+    the domain are NaN.
     """
     if domain.dimension != 2:
         raise InvalidInputError("distance fields are 2-D; slice 3-D domains first")
@@ -118,12 +121,12 @@ def distance_field(domain, center, window, resolution, s: SolverConfig = FIELD_S
     near = idx[np.argmin(np.sqrt(((P[idx] - center) ** 2).sum(axis=1)))]
     if np.linalg.norm(P[near] - center) > np.sqrt(2.0) * h:
         raise FieldError("resolution too coarse to connect the center")
-    chunks = [idx[i:i + chunk] for i in range(0, idx.size, chunk)]
+    chunks = [idx[i:i + _FIELD_CHUNK] for i in range(0, idx.size, _FIELD_CHUNK)]
 
     def run(ids):
         ctr = np.broadcast_to(center, (ids.size, 2))
-        lengths, _, _ = solve_batch(domain, ctr, P[ids], s, vertex_count=vertex_count,
-                                    relax_sweeps=1)
+        lengths, _, _ = solve_batch(domain, ctr, P[ids], FIELD_SOLVER,
+                                    vertex_count=vertex_count, relax_sweeps=1)
         return lengths
 
     workers = _worker_count()
@@ -287,29 +290,32 @@ def contour_point_distance(contour: BallContour, pts):
     return best
 
 
-def contour_tangent_gaps(contour: BallContour, window=5, spacing=None,
-                         return_positions=False):
+def _resample_loop(L, count):
+    """``count(perimeter)`` points at uniform arclength along the closed
+    polygon L (its last vertex joins the first), starting at L[0]."""
+    closed = np.vstack([L, L[:1]])
+    seg = np.sqrt(((closed[1:] - closed[:-1]) ** 2).sum(axis=1))
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    t = np.linspace(0.0, cum[-1], count(cum[-1]), endpoint=False)
+    return np.stack([np.interp(t, cum, closed[:, 0]), np.interp(t, cum, closed[:, 1])], axis=1)
+
+
+def contour_tangent_gaps(contour: BallContour, return_positions=False):
     """One-sided tangent angle gap at every resampled contour vertex.
 
-    Left and right secant directions span ``window`` vertices on each
-    side; the gap is the angle between them.  Where the level curve is C^2
-    the max gap scales linearly with the sampling spacing; at points where
-    the metric is only C^(1,1/2) (weight-seam crossings) it decays like
-    the square root of the spacing, which still vanishes, unlike at a
-    genuine corner.
+    Each loop is resampled at the grid spacing (at least 20 vertices).
+    Left and right secant directions span five vertices on each side; the
+    gap is the angle between them.  Where the level curve is C^2 the max
+    gap scales linearly with the sampling spacing; at points where the
+    metric is only C^(1,1/2) (weight-seam crossings) it decays like the
+    square root of the spacing, which still vanishes, unlike at a genuine
+    corner.
     """
+    window = 5
     gaps = []
     positions = []
     for L in contour.loops:
-        closed = np.vstack([L, L[:1]])
-        seg = np.sqrt(((closed[1:] - closed[:-1]) ** 2).sum(axis=1))
-        total = seg.sum()
-        n = max(4 * window, int(np.round(total / (spacing or contour.h))))
-        t = np.linspace(0.0, total, n, endpoint=False)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        P = np.stack(
-            [np.interp(t, cum, closed[:, 0]), np.interp(t, cum, closed[:, 1])], axis=1
-        )
+        P = _resample_loop(L, lambda length: max(4 * window, int(np.round(length / contour.h))))
         m = P.shape[0]
         for i in range(m):
             left = P[(np.arange(i - window, i + 1)) % m]
@@ -362,13 +368,13 @@ RADIUS_SOLVER = SolverConfig(refinement=RefinementConfig(
     max_iterations=40, gradient_tol=2e-4, length_rel_tol=1e-9))
 
 
-def directional_radii(domain, center, dirs, level, s: SolverConfig = RADIUS_SOLVER,
-                      vertex_count=25, rounds=18, rel_tol=3e-6):
+def directional_radii(domain, center, dirs, level, vertex_count=25):
     """Radii s_k with k(center, center + s_k u_k) = level, all at once.
 
-    Bracketed Illinois regula falsi per direction, every round solved as
-    one batch with warm radially-scaled restarts; converged directions
-    drop out.  The distance function is steep at the sphere (slope is the
+    Bracketed Illinois regula falsi per direction, at most 18 rounds, each
+    solved as one batch at ``RADIUS_SOLVER`` with warm radially-scaled
+    restarts; a direction drops out once its bracket is within 3e-6
+    relative.  The distance function is steep at the sphere (slope is the
     boundary weight), so a loose k-tolerance already pins the radius.
     The logarithmic lower bound gives two analytic upper brackets, from
     the ray's boundary hit L and from the center depth:
@@ -395,7 +401,7 @@ def directional_radii(domain, center, dirs, level, s: SolverConfig = RADIUS_SOLV
     paths = np.zeros((K, vertex_count, center.size))
     prev_s = np.ones(K)
     active = np.ones(K, dtype=bool)
-    for it in range(rounds):
+    for it in range(18):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
@@ -413,7 +419,7 @@ def directional_radii(domain, center, dirs, level, s: SolverConfig = RADIUS_SOLV
             scale = (snew / np.maximum(prev_s[idx], 1e-300))[:, None, None]
             inits = center[None, None, :] + (paths[idx] - center[None, None, :]) * scale
         ctr = np.broadcast_to(center, (idx.size, center.size))
-        kv, V, _ = solve_batch(domain, ctr, targets, s,
+        kv, V, _ = solve_batch(domain, ctr, targets, RADIUS_SOLVER,
                                vertex_count=vertex_count, relax_sweeps=1,
                                inits=inits)
         paths[idx] = V
@@ -433,7 +439,7 @@ def directional_radii(domain, center, dirs, level, s: SolverConfig = RADIUS_SOLV
         rep = idn[side[idn] == -1]
         flo[rep] *= 0.5
         side[idn] = -1
-        active[idx] = (hi[idx] - lo[idx]) > rel_tol * np.maximum(hi[idx], 1e-12)
+        active[idx] = (hi[idx] - lo[idx]) > 3e-6 * np.maximum(hi[idx], 1e-12)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = (lo * fhi - hi * flo) / (fhi - flo)
     return np.where(np.isfinite(out), np.clip(out, lo, hi), 0.5 * (lo + hi))
@@ -474,10 +480,11 @@ PROBE_SOLVER = SolverConfig(refinement=RefinementConfig(
     max_iterations=400, gradient_tol=1e-6, length_rel_tol=1e-13))
 
 
+_PROBE_VERTICES = 49
+
+
 def smoothness_profile(domain, center, r, probes=8,
-                       h_schedule=DEFAULT_H_SCHEDULE,
-                       k_eval=None, probe_solver: SolverConfig = PROBE_SOLVER,
-                       vertex_count=49, min_probe_sep=0.1, contour=None):
+                       h_schedule=DEFAULT_H_SCHEDULE, k_eval=None):
     """Second-difference ratios of k(center, .) at probes on the sphere.
 
     For each probe x and direction u the report holds
@@ -485,10 +492,14 @@ def smoothness_profile(domain, center, r, probes=8,
     (fractions of d(x, boundary)); directions are the sphere tangent,
     normal, and the two diagonals.  Ratios tending to zero are the
     numerical signature of a C^1 ball.  All solver evaluations run as one
-    tight batch so per-point wobble stays far below the second
-    differences; ``k_eval`` may inject a closed form instead.
+    tight batch at ``PROBE_SOLVER`` and 49 vertices, so per-point wobble
+    stays far below the second differences; ``k_eval`` may inject a
+    closed form instead.  Each probe must lie at least a tenth of
+    d(center, boundary) from the boundary and from the center.
     """
     center = np.asarray(center, dtype=float)
+    if domain.dimension != 2:
+        raise InvalidInputError("smoothness probing is planar")
     if not domain.is_convex:
         raise InvalidInputError("smoothness probing assumes a convex domain")
     d_center = domain.boundary_distance(center)
@@ -502,7 +513,7 @@ def smoothness_profile(domain, center, r, probes=8,
         all_angles = np.concatenate([angles, angles + dtheta, angles - dtheta])
         U = np.stack([np.cos(all_angles), np.sin(all_angles)], axis=1)
         if k_eval is None:
-            radii = directional_radii(domain, center, U, r, vertex_count=vertex_count)
+            radii = directional_radii(domain, center, U, r, vertex_count=_PROBE_VERTICES)
         else:
             radii = np.array([_oracle_radius(domain, center, u, r, k_eval) for u in U])
         pts_all = center[None, :] + radii[:, None] * U
@@ -517,7 +528,7 @@ def smoothness_profile(domain, center, r, probes=8,
 
     depths = domain.boundary_distance_many(probe_pts)
     sep = np.sqrt(((probe_pts - center) ** 2).sum(axis=1))
-    if (depths < min_probe_sep * d_center).any() or (sep < min_probe_sep * d_center).any():
+    if (depths < 0.1 * d_center).any() or (sep < 0.1 * d_center).any():
         raise ProbeRejectedError("a probe violates the separation hypothesis")
 
     normals = np.stack([-tangents[:, 1], tangents[:, 0]], axis=1)
@@ -533,22 +544,17 @@ def smoothness_profile(domain, center, r, probes=8,
     targets = np.concatenate([probe_pts, plus.reshape(-1, 2), minus.reshape(-1, 2)])
     if k_eval is None:
         ctr = np.broadcast_to(center, targets.shape)
-        kv, _, _ = solve_batch(domain, ctr, targets, probe_solver,
-                               vertex_count=vertex_count, relax_sweeps=4)
+        kv, _, _ = solve_batch(domain, ctr, targets, PROBE_SOLVER,
+                               vertex_count=_PROBE_VERTICES, relax_sweeps=4)
     else:
         kv = np.array([k_eval(t) for t in targets])
     k0 = kv[:Pn]
     kp = kv[Pn:Pn + Pn * Dn * Hn].reshape(Pn, Dn, Hn)
     km = kv[Pn + Pn * Dn * Hn:].reshape(Pn, Dn, Hn)
     ratios = np.abs(kp + km - 2.0 * k0[:, None, None]) / habs[:, None, :]
-    meta = {"probe_depths": depths, "level": float(r)}
-    if contour is not None:
-        gaps = contour_tangent_gaps(contour)
-        meta["max_tangent_gap"] = float(gaps.max())
-        meta["contour_h"] = contour.h
     return SmoothnessReport(
         probes=probe_pts, directions=dirs_all, h_schedule=tuple(sched),
-        ratios=ratios, base_values=k0, meta=meta,
+        ratios=ratios, base_values=k0, meta={"probe_depths": depths, "level": float(r)},
     )
 
 
@@ -563,19 +569,18 @@ def _oracle_radius(domain, center, u, level, k_eval):
     return 0.5 * (lo + hi)
 
 
-def convexity_check(field: DistanceField, r, samples=1000, rng_seed=0,
-                    domain=None, s: SolverConfig = FIELD_SOLVER,
-                    vertex_count=25, tol=1e-3):
+def convexity_check(field: DistanceField, r, domain, samples=1000):
     """Midpoint test for ball convexity.
 
-    Pairs are drawn inside B_k(center, r); the verdict re-evaluates both
-    endpoints and the midpoint with the solver when ``domain`` is given
-    (field interpolation only pre-screens).  Returns the violation list;
-    empty means pass.  Raises on non-convex domains: the hypothesis gate
-    belongs to the caller.
+    Pairs are drawn inside B_k(center, r) with a seeded generator; the
+    verdict re-evaluates both endpoints and the midpoint with the solver
+    (``FIELD_SOLVER``, 25 vertices; field interpolation only pre-screens)
+    and flags a midpoint more than 1e-3 above r.  Returns the violation
+    list; empty means pass.  Raises on non-convex domains: the hypothesis
+    gate belongs to the caller.
     """
-    rng = np.random.default_rng(rng_seed)
-    if domain is not None and not domain.is_convex:
+    rng = np.random.default_rng(0)
+    if not domain.is_convex:
         raise InvalidInputError("convexity check applies to convex domains only")
     finite = np.isfinite(field.values)
     lowmask = finite & (field.values < r)
@@ -592,18 +597,13 @@ def convexity_check(field: DistanceField, r, samples=1000, rng_seed=0,
     ok = np.isfinite(ka) & np.isfinite(kb) & (ka < r - screen) & (kb < r - screen)
     a, b = a[ok], b[ok]
     mid = 0.5 * (a + b)
-    if domain is not None:
-        all_pts = np.concatenate([a, b, mid])
-        ctr3 = np.broadcast_to(field.center, all_pts.shape)
-        kvals, _, _ = solve_batch(domain, ctr3, all_pts, s, vertex_count=vertex_count,
-                                  relax_sweeps=1)
-        n = a.shape[0]
-        ka, kb, km = kvals[:n], kvals[n:2 * n], kvals[2 * n:]
-        inball = (ka <= r) & (kb <= r)
-        viol = inball & (km > r + tol)
-    else:
-        km = field.interp(mid)
-        viol = np.isfinite(km) & (km > r + tol)
+    all_pts = np.concatenate([a, b, mid])
+    ctr3 = np.broadcast_to(field.center, all_pts.shape)
+    kvals, _, _ = solve_batch(domain, ctr3, all_pts, FIELD_SOLVER, vertex_count=25,
+                              relax_sweeps=1)
+    n = a.shape[0]
+    ka, kb, km = kvals[:n], kvals[n:2 * n], kvals[2 * n:]
+    viol = (ka <= r) & (kb <= r) & (km > r + 1e-3)
     out = []
     for i in np.nonzero(viol)[0]:
         out.append({"a": a[i].tolist(), "b": b[i].tolist(),
@@ -627,18 +627,15 @@ def _qh_arclength_point(domain, path, frac):
     return V[i] + np.clip(t, 0.0, 1.0) * seg[i]
 
 
-def orthogonality_ratio(domain, x0, x, t_schedule, contour: BallContour,
-                        geodesic=None, s: SolverConfig = DEFAULT_SOLVER):
-    """d(gamma(t), sphere) / ||gamma(t) - gamma(1)|| along the geodesic.
+def orthogonality_ratio(domain, x, t_schedule, contour: BallContour, geodesic):
+    """d(gamma(t), sphere) / ||gamma(t) - gamma(1)|| along the geodesic
+    polyline ``geodesic`` from the sphere's center to x on it.
 
     The series must approach 1 as t -> 1: geodesic radii meet the spheres
     they end on orthogonally.  The contour resolution certificate requires
     grid spacing at most a tenth of the smallest separation in use.
     """
-    x0 = np.asarray(x0, dtype=float)
     x = np.asarray(x, dtype=float)
-    if geodesic is None:
-        geodesic = qh_distance(domain, x0, x, s).path
     pts = []
     seps = []
     for t in t_schedule:
@@ -655,20 +652,20 @@ def orthogonality_ratio(domain, x0, x, t_schedule, contour: BallContour,
 
 
 def cusp_free_check(domain, x, r, y, z_schedule=(0.3, 0.5, 0.7),
-                    samples=40, rng_seed=0, s: SolverConfig = DEFAULT_SOLVER,
-                    vertex_count=33, tol=1e-3, geodesic=None):
+                    samples=40, rng_seed=0, tol=1e-3, geodesic=None):
     """Ambient-ball inclusion along a geodesic radius.
 
     For each z on the geodesic from x to y (y on the sphere of radius r),
     the Euclidean ball around z of radius |z-y|/(1+u), u = |z-y|/d(z),
     must lie inside B_k(x, r).  Samples cover the ball boundary and
-    interior; the report lists the worst margin per z.
+    interior, solved at ``DEFAULT_SOLVER`` and 33 vertices; the report
+    lists the worst margin per z.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rng = np.random.default_rng(rng_seed)
     if geodesic is None:
-        res = qh_distance(domain, x, y, s)
+        res = qh_distance(domain, x, y)
         if not res.converged:
             raise QHError("geodesic solve did not converge")
         geodesic = res.path
@@ -691,7 +688,7 @@ def cusp_free_check(domain, x, r, y, z_schedule=(0.3, 0.5, 0.7),
         interior = z[None, :] + np.stack([rr * np.cos(aa), rr * np.sin(aa)], axis=1)
         T = np.concatenate([ring, interior])
         ctr = np.broadcast_to(x, T.shape)
-        kv, _, _ = solve_batch(domain, ctr, T, s, vertex_count=vertex_count,
+        kv, _, _ = solve_batch(domain, ctr, T, DEFAULT_SOLVER, vertex_count=33,
                                relax_sweeps=1)
         viol = int((kv >= r + tol).sum())
         report.append({

@@ -48,6 +48,10 @@ OMEGA_SOLVER = {
     5: SolverConfig(vertex_budget=129, refinement=RefinementConfig(
         max_iterations=60, gradient_tol=5e-4)),
 }
+PROLONGATION_SOLVER = SolverConfig(vertex_budget=97, refinement=RefinementConfig(
+    max_iterations=80, gradient_tol=5e-4))
+STARLIKE_SOLVER = SolverConfig(vertex_budget=65, refinement=RefinementConfig(
+    max_iterations=80, gradient_tol=5e-4))
 
 
 @dataclass
@@ -112,20 +116,19 @@ def sign_pattern_seed(n, signs):
     return Polyline(np.array(pts, dtype=float))
 
 
-def count_polyline_intersections(p1: Polyline, p2: Polyline,
-                                 contact=5e-3, cluster=1e-3, samples=6000):
+def count_polyline_intersections(p1: Polyline, p2: Polyline):
     """Clustered intersection count of two polylines.
 
-    Both curves are densely resampled; sample points of one within
-    ``contact`` of the other form contact runs (consecutive samples merge,
+    Both curves are resampled to 6000 vertices; sample points of one
+    within 5e-3 of the other form contact runs (consecutive samples merge,
     which absorbs tangential touches), and runs whose representative
-    points fall within ``cluster`` of each other merge as well.  Returns
+    points fall within 1e-3 of each other merge as well.  Returns
     (count, representative points).
     """
-    A = p1.resample(samples).vertices
-    B = p2.resample(samples).vertices
+    A = p1.resample(6000).vertices
+    B = p2.resample(6000).vertices
     d = cKDTree(B).query(A)[0]
-    mask = d < contact
+    mask = d < 5e-3
     if not mask.any():
         return 0, np.zeros((0, A.shape[1]))
     runs = np.diff(np.r_[0, mask.astype(int), 0])
@@ -141,25 +144,25 @@ def count_polyline_intersections(p1: Polyline, p2: Polyline,
     # merge representatives closer than the clustering radius
     kept = []
     for p in reps:
-        if not kept or min(np.linalg.norm(p - q) for q in kept) > cluster:
+        if not kept or min(np.linalg.norm(p - q) for q in kept) > 1e-3:
             kept.append(p)
     return len(kept), np.array(kept)
 
 
-def verify_intersection_count(n, s: SolverConfig = None):
+def verify_intersection_count(n):
     """The reflected geodesic pair between the axis endpoints meets exactly
     n times: at both endpoints and on the axis at every slit column."""
     if n < 2:
         raise InvalidInputError("need n >= 2")
     dom = build_omega_n(n)
     if n == 2:
-        s = s or DEFAULT_SOLVER
+        s = DEFAULT_SOLVER
         up = Polyline(np.stack([np.cos(np.linspace(np.pi, 0, 9)),
                                 np.sin(np.linspace(np.pi, 0, 9))], axis=1))
         seeds = [up, up.mirrored(1)]
         expected_absc = np.array([-1.0, 1.0])
     else:
-        s = s or OMEGA_SOLVER.get(n, OMEGA_SOLVER[5])
+        s = OMEGA_SOLVER.get(n, OMEGA_SOLVER[5])
         seeds = [sign_pattern_seed(n, [sgn] * (n - 1)) for sgn in (1, -1)]
         expected_absc = np.concatenate([
             [-0.5], (2 * np.arange(1, n - 1) - 1) * SQRT3 / 2.0,
@@ -197,15 +200,14 @@ def verify_intersection_count(n, s: SolverConfig = None):
     )
 
 
-def enumerate_sign_geodesics(n, s: SolverConfig = None):
+def enumerate_sign_geodesics(n):
     """All 2^(n-1) over/under choices refine to distinct geodesics of one
     common length."""
     if n < 3:
         raise InvalidInputError("sign patterns need n >= 3")
     dom = build_omega_n(n)
-    s = s or OMEGA_SOLVER.get(n, OMEGA_SOLVER[5])
     seeds = [sign_pattern_seed(n, signs) for signs in itertools.product([1, -1], repeat=n - 1)]
-    results = _raise_first(refine_paths(dom, seeds, s))
+    results = _raise_first(refine_paths(dom, seeds, OMEGA_SOLVER.get(n, OMEGA_SOLVER[5])))
     lengths = np.array([r.qh_length for r in results])
     conv = [bool(r.converged) for r in results]
     distinct = dedupe_geodesics(results)
@@ -235,18 +237,17 @@ def enumerate_sign_geodesics(n, s: SolverConfig = None):
 # corridor polygon: short geodesics without unique prolongation
 # ---------------------------------------------------------------------------
 
-def polygon_prolongation_check(t, s: SolverConfig = None):
+def polygon_prolongation_check(t):
     """k equals the corridor parameter t, and the geodesic through the
     corridor mouth extends to both notch corners."""
     if not (0.0 < t <= 1.0):
         raise InvalidInputError("t must lie in (0, 1]")
     dom = prolongation_polygon()
-    s = s or SolverConfig(vertex_budget=97, refinement=RefinementConfig(
-        max_iterations=80, gradient_tol=5e-4))
     x = np.array([-t - 1.0, 0.0])
     y = np.array([-1.0, 0.0])
-    seeds = [grid_init(dom, x, z, s) for z in (y, np.array([0.0, 1.0]), np.array([0.0, -1.0]))]
-    base, g1, g2 = _raise_first(refine_paths(dom, seeds, s))
+    seeds = [grid_init(dom, x, z, PROLONGATION_SOLVER)
+             for z in (y, np.array([0.0, 1.0]), np.array([0.0, -1.0]))]
+    base, g1, g2 = _raise_first(refine_paths(dom, seeds, PROLONGATION_SOLVER))
     straight_dev = float(np.abs(base.path.vertices[:, 1]).max())
     A = g1.path.resample(3000).vertices
     B = g2.path.resample(3000).vertices
@@ -284,13 +285,13 @@ def polygon_prolongation_check(t, s: SolverConfig = None):
 # the separable-space half-circle lengths
 # ---------------------------------------------------------------------------
 
-def l2_halfcircle_length(n, diagonal=True, abs_tol=1e-10):
+def l2_halfcircle_length(n, diagonal=True):
     """Length of the half circle from e1 to -e1 through the diagonal
     section span{e1, (e_n + e_{n+1})/sqrt2} (or the plane span{e1, e_n}).
 
     The curve is unit speed, so the length is the integral of the
     reciprocal distance to the removed set, evaluated exactly through the
-    certified family oracle.
+    certified family oracle, to 1e-10 absolute and relative.
     """
     if n < 2:
         raise InvalidInputError("need n >= 2")
@@ -308,16 +309,16 @@ def l2_halfcircle_length(n, diagonal=True, abs_tol=1e-10):
         return dom.depth_many(pts)
 
     return adaptive_simpson(lambda _, p: 1.0 / dvals(p), [0.0], [np.pi],
-                            abs_tol, abs_tol, max_depth=40)
+                            1e-10, 1e-10, max_depth=40)
 
 
-def l2_nongeodesic_lengths(n_max=12, abs_tol=1e-10):
+def l2_nongeodesic_lengths(n_max=12):
     """The half-circle lengths decrease strictly toward pi but stay above
     it: the infimum between the antipodes is never attained."""
     if n_max < 3:
         raise InvalidInputError("need n_max >= 3")
     ns = list(range(2, n_max + 1))
-    lengths = np.array([l2_halfcircle_length(n, abs_tol=abs_tol) for n in ns])
+    lengths = np.array([l2_halfcircle_length(n) for n in ns])
     gaps = lengths - np.pi
     decreasing = bool((np.diff(lengths) < 0).all())
     above = bool((gaps > 0).all())
@@ -348,18 +349,18 @@ def l2_nongeodesic_lengths(n_max=12, abs_tol=1e-10):
 # star-like 3-D set: non-unique geodesics, ridge-free weight
 # ---------------------------------------------------------------------------
 
-def starlike3d_nonuniqueness(s: SolverConfig = None, grid_h=0.05, tol=1e-6):
-    """Two geodesics around the deleted axis ray, plus the weight profile:
-    1/d has no strict local maxima and its infimum 2 (max d = 1/2) is
-    attained on the ridge surface."""
+def starlike3d_nonuniqueness():
+    """Two geodesics around the deleted axis ray, plus the weight profile
+    on a lattice of spacing 0.05: 1/d has no strict local maxima (by more
+    than 1e-6) and its infimum 2 (max d = 1/2) is attained on the ridge
+    surface."""
     dom = StarlikeDomain3D()
-    s = s or SolverConfig(vertex_budget=65, refinement=RefinementConfig(
-        max_iterations=80, gradient_tol=5e-4))
+    grid_h = 0.05
     x = np.array([0.5, 0.0, 1.0])
     y = np.array([-0.5, 0.0, 1.0])
     seeds = [Polyline(np.array([x, [0.35, 0.35 * sgn, 1.0], [0.0, 0.5 * sgn, 1.0],
                                 [-0.35, 0.35 * sgn, 1.0], y])) for sgn in (1.0, -1.0)]
-    g1, g2 = _raise_first(refine_paths(dom, seeds, s))
+    g1, g2 = _raise_first(refine_paths(dom, seeds, STARLIKE_SOLVER))
     A = g1.path.resample(400).vertices
     B = g2.path.resample(400).vertices
     sup_sep = float(np.abs(A - B).max())
@@ -397,7 +398,7 @@ def starlike3d_nonuniqueness(s: SolverConfig = None, grid_h=0.05, tol=1e-6):
                 all_inside &= np.isfinite(nb)
                 best_nbr = np.fmax(best_nbr, nb)
     center_w = w[1:-1, 1:-1, 1:-1]
-    strict = all_inside & (center_w > best_nbr + tol)
+    strict = all_inside & (center_w > best_nbr + 1e-6)
     strict_max = int(strict.sum())
     max_d = float(np.nanmax(dvol))
     passed = (

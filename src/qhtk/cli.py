@@ -37,7 +37,6 @@ from .io import (
     write_json,
     write_manifest,
 )
-from .metric import QuadratureConfig
 from .renorm import InducedNorm, hausdorff_convergence, modulus_estimate, triangle_check
 from .solver import RefinementConfig, SolverConfig, qh_distance
 from .svg import render_svg
@@ -60,12 +59,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _point(text):
-    return np.array([float(t) for t in text.split(",")], dtype=float)
+def _numbers(text):
+    """Comma-separated finite numbers, for argparse ``type=``."""
+    try:
+        v = np.array([float(t) for t in text.split(",")], dtype=float)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    if not np.isfinite(v).all():
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
+    return v
+
+
+def _direction(text):
+    v = _numbers(text)
+    if not v.any():
+        raise argparse.ArgumentTypeError("direction must be nonzero")
+    return v
 
 
 def _window(text):
-    x0, x1, y0, y1 = (float(t) for t in text.split(","))
+    v = _numbers(text)
+    if v.size != 4:
+        raise argparse.ArgumentTypeError(f"expected x0,x1,y0,y1, got {text!r}")
+    x0, x1, y0, y1 = v.tolist()
     return ((x0, x1), (y0, y1))
 
 
@@ -73,7 +89,6 @@ def _solver_config(args):
     return SolverConfig(
         grid_resolution=args.resolution,
         vertex_budget=args.budget,
-        rng_seed=args.seed,
         refinement=RefinementConfig(
             max_iterations=args.max_iterations,
             gradient_tol=args.gradient_tol,
@@ -117,13 +132,12 @@ def cmd_dist(args, want_path):
     t0 = time.perf_counter()
     domain = resolve_domain(args.domain)
     s = _solver_config(args)
-    q = QuadratureConfig()
-    res = qh_distance(domain, _point(args.frm), _point(args.to), s, q)
+    res = qh_distance(domain, args.frm, args.to, s)
     name = "geodesic" if want_path else "dist"
     doc = {
         "domain": domain_to_doc(domain),
-        "from": _point(args.frm).tolist(),
-        "to": _point(args.to).tolist(),
+        "from": args.frm.tolist(),
+        "to": args.to.tolist(),
         "qh_distance": res.qh_length,
         "lower_bound_gap": res.lower_bound_gap,
         "converged": res.converged,
@@ -159,8 +173,8 @@ def cmd_dist(args, want_path):
 def cmd_ball(args):
     t0 = time.perf_counter()
     domain = resolve_domain(args.domain)
-    center = _point(args.center)
-    window = _window(args.window) if args.window else None
+    center = args.center
+    window = args.window
     if window is None:
         reach = domain.boundary_distance(center) * float(np.expm1(args.r))
         window = _clipped_window(domain, center, reach)
@@ -200,7 +214,7 @@ def cmd_ball(args):
 def cmd_smoothcheck(args):
     t0 = time.perf_counter()
     domain = resolve_domain(args.domain)
-    center = _point(args.center)
+    center = args.center
     rep = smoothness_profile(domain, center, args.r, probes=args.probes)
     pp = rep.per_probe()
     ratio = pp[:, -1] / pp[:, 0]
@@ -233,9 +247,8 @@ def cmd_smoothcheck(args):
 def cmd_ortho(args):
     t0 = time.perf_counter()
     domain = resolve_domain(args.domain)
-    center = _point(args.center)
-    u = _point(args.direction)
-    u = u / np.linalg.norm(u)
+    center = args.center
+    u = args.direction / np.linalg.norm(args.direction)
     rad = directional_radii(domain, center, u[None, :], args.r)[0]
     x = center + rad * u
     res = qh_distance(domain, center, x)
@@ -243,8 +256,8 @@ def cmd_ortho(args):
     window = _clipped_window(domain, center, reach)
     field = distance_field(domain, center, window, args.field_resolution)
     contour = ball_contour(field, args.r)
-    tsched = [float(t) for t in args.tschedule.split(",")]
-    ratios = orthogonality_ratio(domain, center, x, tsched, contour, geodesic=res.path)
+    tsched = args.tschedule
+    ratios = orthogonality_ratio(domain, x, tsched, contour, geodesic=res.path)
     passed = bool((np.abs(ratios[-2:] - 1.0) <= 0.05).all())
     rpath = _result_paths(args.out, "ortho")
     write_json(rpath, {
@@ -263,12 +276,11 @@ def cmd_ortho(args):
 def cmd_cusp(args):
     t0 = time.perf_counter()
     domain = resolve_domain(args.domain)
-    x = _point(args.x)
-    u = _point(args.direction)
-    u = u / np.linalg.norm(u)
+    x = args.x
+    u = args.direction / np.linalg.norm(args.direction)
     rad = directional_radii(domain, x, u[None, :], args.r)[0]
     y = x + rad * u
-    zs = [float(t) for t in args.z.split(",")]
+    zs = args.z
     report = cusp_free_check(domain, x, args.r, y, z_schedule=zs,
                              samples=args.samples, rng_seed=args.seed)
     viol = sum(e["violations"] for e in report)
@@ -291,7 +303,7 @@ def cmd_renorm(args):
     passed = True
     doc = {"domain": domain_to_doc(domain), "what": args.what}
     if args.what == "hausdorff":
-        radii = [float(t) for t in args.radii.split(",")]
+        radii = args.radii
         series = hausdorff_convergence(domain, radii, directions=args.directions)
         doc["radii"] = radii
         doc["d_H"] = series.tolist()
@@ -320,8 +332,7 @@ def cmd_renorm(args):
             passed = len(viol) == 0
             print(f"triangle check: {len(viol)} violations / {args.samples} pairs")
         elif args.what == "modulus":
-            taus = [float(t) for t in args.taus.split(",")]
-            est = modulus_estimate(norm, args.kind, taus,
+            est = modulus_estimate(norm, args.kind, args.taus,
                                    sample_budget=args.samples, rng_seed=args.seed)
             doc["kind"] = est.kind
             doc["taus"] = est.taus.tolist()
@@ -418,8 +429,8 @@ def build_parser():
     for name in ("dist", "geodesic"):
         sp = sub.add_parser(name)
         sp.add_argument("--domain", required=True)
-        sp.add_argument("--from", dest="frm", required=True)
-        sp.add_argument("--to", required=True)
+        sp.add_argument("--from", dest="frm", type=_numbers, required=True)
+        sp.add_argument("--to", type=_numbers, required=True)
         sp.add_argument("--svg", action="store_true")
         # only these two commands hand solver settings to the solver
         sp.add_argument("--resolution", type=float, default=32.0)
@@ -430,16 +441,16 @@ def build_parser():
 
     sp = sub.add_parser("ball")
     sp.add_argument("--domain", required=True)
-    sp.add_argument("--center", required=True)
+    sp.add_argument("--center", type=_numbers, required=True)
     sp.add_argument("--r", type=float, required=True)
-    sp.add_argument("--window")
+    sp.add_argument("--window", type=_window)
     sp.add_argument("--field-resolution", type=float, default=24.0)
     sp.add_argument("--svg", action="store_true")
     common(sp)
 
     sp = sub.add_parser("smoothcheck")
     sp.add_argument("--domain", default="strip")
-    sp.add_argument("--center", default="0,0")
+    sp.add_argument("--center", type=_numbers, default="0,0")
     sp.add_argument("--r", type=float, default=1.0)
     sp.add_argument("--probes", type=int, default=8)
     sp.add_argument("--threshold", type=float, default=0.1)
@@ -447,19 +458,19 @@ def build_parser():
 
     sp = sub.add_parser("ortho")
     sp.add_argument("--domain", default="strip")
-    sp.add_argument("--center", default="0,0")
-    sp.add_argument("--direction", default="1,0")
+    sp.add_argument("--center", type=_numbers, default="0,0")
+    sp.add_argument("--direction", type=_direction, default="1,0")
     sp.add_argument("--r", type=float, default=1.0)
-    sp.add_argument("--tschedule", default="0.5,0.65,0.8,0.9")
+    sp.add_argument("--tschedule", type=_numbers, default="0.5,0.65,0.8,0.9")
     sp.add_argument("--field-resolution", type=float, default=40.0)
     common(sp)
 
     sp = sub.add_parser("cusp")
     sp.add_argument("--domain", default="strip")
-    sp.add_argument("--x", default="0,0")
-    sp.add_argument("--direction", default="1,0")
+    sp.add_argument("--x", type=_numbers, default="0,0")
+    sp.add_argument("--direction", type=_direction, default="1,0")
     sp.add_argument("--r", type=float, default=1.0)
-    sp.add_argument("--z", default="0.3,0.5,0.7")
+    sp.add_argument("--z", type=_numbers, default="0.3,0.5,0.7")
     sp.add_argument("--samples", type=int, default=40)
     common(sp)
 
@@ -468,11 +479,11 @@ def build_parser():
     sp.add_argument("--what", choices=("minkowski", "triangle", "hausdorff", "modulus"),
                     default="minkowski")
     sp.add_argument("--r", type=float, default=2.0)
-    sp.add_argument("--radii", default="1,2,3,4")
+    sp.add_argument("--radii", type=_numbers, default="1,2,3,4")
     sp.add_argument("--directions", type=int, default=64)
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--scale", type=float, default=1.0)
-    sp.add_argument("--taus", default="0.4,0.6,0.8,1.0")
+    sp.add_argument("--taus", type=_numbers, default="0.4,0.6,0.8,1.0")
     sp.add_argument("--kind", choices=("convexity", "smoothness"), default="convexity")
     common(sp)
 

@@ -712,16 +712,16 @@ def _resample_paths(Vs, count):
     return out
 
 
-def certify_segment(domain, a, b, max_depth=24):
+def certify_segment(domain, a, b):
     """True iff the segment [a, b] provably stays inside the domain.
 
     Uses the 1-Lipschitz property of boundary distance: a segment with
-    d(a) + d(b) > ||b - a|| cannot exit.  Otherwise bisect; a midpoint
-    outside is a definite failure.
+    d(a) + d(b) > ||b - a|| cannot exit.  Otherwise bisect, at most 24
+    levels deep; a midpoint outside is a definite failure.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    stack = [(a, b, max_depth)]
+    stack = [(a, b, 24)]
     while stack:
         pa, pb, depth = stack.pop()
         dd = domain.depth_many(np.stack([pa, pb]))

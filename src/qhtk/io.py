@@ -85,6 +85,16 @@ _PRESET_PARAMS = {"omega-n": {"n"}, "l2-section": {"n"},
                   "unit-ball": {"dimension"}, "box": {"dimension"}}
 
 
+def _build_preset(name, params):
+    """The preset domain ``name`` with its integer parameters."""
+    try:
+        return PRESETS[name](**params)
+    except KeyError as e:
+        raise SchemaError([f"$.{e.args[0]}: required by preset {name!r}"]) from None
+    except (TypeError, ValueError):
+        raise SchemaError([f"$: preset {name!r} takes integer parameters, got {params!r}"]) from None
+
+
 def _check_vector(v, dim, path, errors):
     if not isinstance(v, (list, tuple)) or len(v) != dim or not all(
         isinstance(c, (int, float)) and np.isfinite(c) for c in v
@@ -115,10 +125,7 @@ def parse_domain_spec(doc):
             raise SchemaError([f"$.{k}: unknown field" for k in sorted(unknown)])
         if name not in PRESETS:
             raise SchemaError([f"$.preset: unknown preset {name!r}"])
-        try:
-            return PRESETS[name](**{k: v for k, v in doc.items() if k != "preset"})
-        except KeyError as e:
-            raise SchemaError([f"$.{e.args[0]}: required by preset {name!r}"])
+        return _build_preset(name, {k: v for k, v in doc.items() if k != "preset"})
 
     allowed = {"dimension", "norm", "primitives", "removals", "name"}
     for k in sorted(set(doc) - allowed):
@@ -291,14 +298,15 @@ def domain_to_doc(domain):
 def resolve_domain(arg):
     """CLI domain argument: preset name, 'omega-n:5' style, or @file.json."""
     if arg.startswith("@"):
-        with open(arg[1:], "r", encoding="utf-8") as f:
-            return parse_domain_spec(f.read())
+        try:
+            with open(arg[1:], "r", encoding="utf-8") as f:
+                text = f.read()
+        except (OSError, UnicodeDecodeError) as e:
+            raise SchemaError([f"$.domain: cannot read {arg[1:]!r} ({e})"]) from None
+        return parse_domain_spec(text)
     name, _, param = arg.partition(":")
     if name in PRESETS:
-        kwargs = {}
-        if param:
-            kwargs["n"] = int(param)
-        return PRESETS[name](**kwargs)
+        return _build_preset(name, {"n": param} if param else {})
     raise SchemaError([f"$.domain: unknown preset or file {arg!r}"])
 
 

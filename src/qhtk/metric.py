@@ -9,8 +9,6 @@ to be validated against the variational solver, never trusted over it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import (
@@ -27,22 +25,10 @@ class EvaluationError(QHError):
     """Quadrature could not reach tolerance or the path left the domain."""
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Adaptive composite Simpson controls for path-length integrals."""
-
-    abs_tol: float = 1e-8
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 24
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise InvalidInputError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise InvalidInputError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# adaptive composite Simpson controls of every path-length integral
+QUAD_ABS_TOL = 1e-8
+QUAD_REL_TOL = 1e-8
+QUAD_MAX_DEPTH = 24
 
 
 def adaptive_simpson(f, t0, t1, abs_tol, rel_tol, max_depth):
@@ -96,8 +82,8 @@ def adaptive_simpson(f, t0, t1, abs_tol, rel_tol, max_depth):
     return total
 
 
-def qh_path_length(domain, path: Polyline, q: QuadratureConfig = DEFAULT_QUADRATURE):
-    """Quasihyperbolic length of a polyline, to the requested tolerance.
+def qh_path_length(domain, path: Polyline):
+    """Quasihyperbolic length of a polyline, to ``QUAD_ABS_TOL`` and ``QUAD_REL_TOL``.
 
     Preconditions: every vertex strictly inside; each segment certified to
     stay inside via the 1-Lipschitz bound on boundary distance (a segment
@@ -122,7 +108,7 @@ def qh_path_length(domain, path: Polyline, q: QuadratureConfig = DEFAULT_QUADRAT
 
     n = seg.shape[0]
     return adaptive_simpson(integrand, np.zeros(n), np.ones(n),
-                            q.abs_tol, q.rel_tol, q.max_subdivisions)
+                            QUAD_ABS_TOL, QUAD_REL_TOL, QUAD_MAX_DEPTH)
 
 
 def qh_lower_bound(domain, x, y):

@@ -13,10 +13,9 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .ball import RADIUS_SOLVER, _boundary_ray_limits, directional_radii
+from .ball import RADIUS_SOLVER, _boundary_ray_limits, _resample_loop, directional_radii
 from .batch import solve_batch
 from .geometry import InvalidInputError, QHError
-from .solver import SolverConfig
 
 
 class ConfigurationError(QHError):
@@ -34,9 +33,9 @@ class InducedNorm:
     ``directional_radii`` call, which is batch-invariant.
     """
 
-    def __init__(self, domain, r, s: SolverConfig = RADIUS_SOLVER,
-                 vertex_count=25, rounds=18, eval_tol=4e-4,
-                 precheck_pairs=100, rng_seed=0, table=256):
+    eval_tol = 4e-4  # error budget of one evaluation, table interpolation included
+
+    def __init__(self, domain, r, precheck_pairs=100, rng_seed=0, table=256):
         if not domain.is_convex:
             raise ConfigurationError("induced norms need a convex domain")
         lo, hi = domain.window_hint()
@@ -46,10 +45,6 @@ class InducedNorm:
             raise ConfigurationError("the domain must contain the origin")
         self.domain = domain
         self.r = float(r)
-        self.sconf = s
-        self.vertex_count = vertex_count
-        self.rounds = rounds
-        self.eval_tol = eval_tol
         self._cache = {}
         self._spline = None
         dim = domain.dimension
@@ -98,8 +93,8 @@ class InducedNorm:
             B = (tb * rad_p[b_dir] * 0.98)[:, None] * U[b_dir]
             mid = 0.5 * (A + B)
             ctr = np.zeros_like(mid)
-            kv, _, _ = solve_batch(self.domain, ctr, mid, self.sconf,
-                                   vertex_count=self.vertex_count, relax_sweeps=1)
+            kv, _, _ = solve_batch(self.domain, ctr, mid, RADIUS_SOLVER,
+                                   vertex_count=25, relax_sweeps=1)
             if (kv > self.r + 1e-3).any():
                 raise ConfigurationError(
                     "sampled midpoint left the ball: convexity prerequisite failed"
@@ -115,10 +110,7 @@ class InducedNorm:
         return U, [tuple(np.round(u, 12)) for u in U]
 
     def _solve(self, U):
-        return directional_radii(
-            self.domain, np.zeros(self.domain.dimension), U, self.r,
-            s=self.sconf, vertex_count=self.vertex_count, rounds=self.rounds,
-        )
+        return directional_radii(self.domain, np.zeros(self.domain.dimension), U, self.r)
 
     def radii(self, dirs):
         """Directional radii of the ball, cached per unit direction."""
@@ -154,18 +146,19 @@ def minkowski_eval(norm: InducedNorm, x):
     return norm.eval(x)
 
 
-def triangle_check(norm: InducedNorm, samples=1000, rng_seed=0, scale=0.8):
+def triangle_check(norm: InducedNorm, samples=1000, rng_seed=0):
     """Sampled triangle inequality M(x+y) <= M(x) + M(y) + 3 eval_tol.
 
-    Returns the violation list (empty = pass); the slack covers the
-    bisection and solver tolerance of the three evaluations.
+    x and y are normal draws scaled by 0.8 times a uniform factor in
+    [0.2, 1].  Returns the violation list (empty = pass); the slack covers
+    the bisection and solver tolerance of the three evaluations.
     """
     rng = np.random.default_rng(rng_seed)
     dim = norm.domain.dimension
     X = rng.normal(size=(samples, dim))
     Y = rng.normal(size=(samples, dim))
-    X *= scale * rng.uniform(0.2, 1.0, (samples, 1))
-    Y *= scale * rng.uniform(0.2, 1.0, (samples, 1))
+    X *= 0.8 * rng.uniform(0.2, 1.0, (samples, 1))
+    Y *= 0.8 * rng.uniform(0.2, 1.0, (samples, 1))
     Mx = norm.eval_many(X)
     My = norm.eval_many(Y)
     Ms = norm.eval_many(X + Y)
@@ -178,22 +171,6 @@ def triangle_check(norm: InducedNorm, samples=1000, rng_seed=0, scale=0.8):
     ]
 
 
-def domain_directional_radius(domain, dirs):
-    """Gauge radius of the domain itself along each direction."""
-    U = np.atleast_2d(np.asarray(dirs, dtype=float))
-    U = U / np.sqrt((U * U).sum(axis=1, keepdims=True))
-    return _boundary_ray_limits(domain, np.zeros(domain.dimension), U)
-
-
-def _dense_closed_curve(pts, n=2048):
-    closed = np.vstack([pts, pts[:1]])
-    seg = np.sqrt(((closed[1:] - closed[:-1]) ** 2).sum(axis=1))
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    t = np.linspace(0.0, cum[-1], n, endpoint=False)
-    return np.stack([np.interp(t, cum, closed[:, 0]),
-                     np.interp(t, cum, closed[:, 1])], axis=1)
-
-
 def symmetric_hausdorff(A, B):
     from scipy.spatial import cKDTree
 
@@ -201,13 +178,13 @@ def symmetric_hausdorff(A, B):
     return float(max(tb.query(A)[0].max(), ta.query(B)[0].max()))
 
 
-def hausdorff_convergence(domain, radii, directions=128,
-                          s: SolverConfig = RADIUS_SOLVER, vertex_count=25):
+def hausdorff_convergence(domain, radii, directions=128):
     """Hausdorff gap between the sphere of B_k(0, r) and the domain sphere.
 
     The domain is the open unit ball of its own gauge norm; as r grows the
     centered quasihyperbolic spheres converge to the domain sphere, so the
-    returned series decreases toward 0.
+    returned series decreases toward 0.  Both spheres are polygons over
+    ``directions`` rays, resampled to 2048 points each.
     """
     if domain.dimension != 2:
         raise InvalidInputError("Hausdorff series is computed on planar domains")
@@ -215,13 +192,14 @@ def hausdorff_convergence(domain, radii, directions=128,
         raise InvalidInputError("Hausdorff series need a convex domain")
     th = np.linspace(0, 2 * np.pi, directions, endpoint=False)
     U = np.stack([np.cos(th), np.sin(th)], axis=1)
-    R_dom = domain_directional_radius(domain, U)
-    dom_curve = _dense_closed_curve(R_dom[:, None] * U)
+    # the domain's gauge radius along each ray
+    U_unit = U / np.sqrt((U * U).sum(axis=1, keepdims=True))
+    R_dom = _boundary_ray_limits(domain, np.zeros(2), U_unit)
+    dom_curve = _resample_loop(R_dom[:, None] * U, lambda _: 2048)
     out = []
     for r in radii:
-        rho = directional_radii(domain, np.zeros(2), U, float(r),
-                                s=s, vertex_count=vertex_count)
-        ball_curve = _dense_closed_curve(rho[:, None] * U)
+        rho = directional_radii(domain, np.zeros(2), U, float(r))
+        ball_curve = _resample_loop(rho[:, None] * U, lambda _: 2048)
         out.append(symmetric_hausdorff(ball_curve, dom_curve))
     return np.array(out)
 
@@ -251,6 +229,8 @@ def modulus_estimate(norm: InducedNorm, kind, taus, sample_budget=400, rng_seed=
         raise InvalidInputError("kind must be 'convexity' or 'smoothness'")
     if sample_budget < 1:
         raise InvalidInputError("sample budget must be positive")
+    if norm.domain.dimension != 2:
+        raise InvalidInputError("moduli are sampled on planar norms")
     rng = np.random.default_rng(rng_seed)
     dim = norm.domain.dimension
     taus = np.asarray(taus, dtype=float)

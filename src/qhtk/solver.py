@@ -38,11 +38,7 @@ from .geometry import (
     _resample_paths,
     certify_segment,
 )
-from .metric import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    qh_path_length,
-)
+from .metric import qh_path_length
 
 
 class NoPathError(QHError):
@@ -71,12 +67,9 @@ class SolverConfig:
     grid_resolution: float = 32.0  # lattice cells per unit length
     refinement: RefinementConfig = field(default_factory=RefinementConfig)
     vertex_budget: int = 49
-    seed_count: int = 4
-    rng_seed: int = 0
-    tie_rel_tol: float = 1e-4  # length tie window for multiplicity
 
     def __post_init__(self):
-        if self.grid_resolution <= 0 or self.vertex_budget < 3 or self.seed_count < 1:
+        if self.grid_resolution <= 0 or self.vertex_budget < 3:
             raise InvalidInputError("solver parameters must be positive")
 
 
@@ -551,8 +544,7 @@ def _certified_start(domain, init: Polyline, budget):
     return count
 
 
-def refine_paths(domain, inits, s: SolverConfig = DEFAULT_SOLVER,
-                 q: QuadratureConfig = DEFAULT_QUADRATURE):
+def refine_paths(domain, inits, s: SolverConfig = DEFAULT_SOLVER):
     """Descend the length functional from each seed polyline (endpoints pinned).
 
     Coarse-to-fine: a seed is resampled to the coarsest vertex chain it
@@ -590,7 +582,7 @@ def refine_paths(domain, inits, s: SolverConfig = DEFAULT_SOLVER,
                 continue
             try:
                 path = Polyline(Vs[j])
-                length = qh_path_length(domain, path, q)
+                length = qh_path_length(domain, path)
                 gap = length - path_point_lower_bound(domain, path)
             except QHError as err:
                 out[i] = err
@@ -611,10 +603,9 @@ def _raise_first(results):
     return results
 
 
-def refine_path(domain, init: Polyline, s: SolverConfig = DEFAULT_SOLVER,
-                q: QuadratureConfig = DEFAULT_QUADRATURE):
+def refine_path(domain, init: Polyline, s: SolverConfig = DEFAULT_SOLVER):
     """``refine_paths`` on the one seed ``init``; raises its ``QHError``."""
-    return _raise_first(refine_paths(domain, [init], s, q))[0]
+    return _raise_first(refine_paths(domain, [init], s))[0]
 
 
 def path_point_lower_bound(domain, path: Polyline):
@@ -728,10 +719,11 @@ class _GridGraph:
         self.base_w = np.concatenate(wts)
         self.n_vertices = n + 2
 
-    def shortest_path(self, penalty_mask=None, penalty=10.0):
+    def shortest_path(self, penalty_mask=None):
+        """Cheapest lattice path; edges under ``penalty_mask`` cost 10 times more."""
         w = self.base_w.copy()
         if penalty_mask is not None:
-            w = np.where(penalty_mask, w * penalty, w)
+            w = np.where(penalty_mask, w * 10.0, w)
         graph = csr_matrix((w, (self.rows, self.cols)), shape=(self.n_vertices,) * 2)
         dist, pred = _csgraph_dijkstra(
             graph, directed=False, indices=self.src, return_predecessors=True
@@ -790,8 +782,7 @@ def grid_init(domain, x, y, s: SolverConfig = DEFAULT_SOLVER):
     return path
 
 
-def qh_distance(domain, x, y, s: SolverConfig = DEFAULT_SOLVER,
-                q: QuadratureConfig = DEFAULT_QUADRATURE):
+def qh_distance(domain, x, y, s: SolverConfig = DEFAULT_SOLVER):
     """Quasihyperbolic distance and geodesic: grid seed, then refinement."""
     X, _ = _as_points(x, domain.dimension)
     Y, _ = _as_points(y, domain.dimension)
@@ -803,64 +794,67 @@ def qh_distance(domain, x, y, s: SolverConfig = DEFAULT_SOLVER,
             path=None, qh_length=0.0, lower_bound_gap=0.0, converged=True,
             iterations=0, refinement_history=[], meta={"degenerate": True},
         )
-    return refine_path(domain, grid_init(domain, x, y, s), s, q)
+    return refine_path(domain, grid_init(domain, x, y, s), s)
 
 
-def geodesic_multiplicity(domain, x, y, s: SolverConfig = DEFAULT_SOLVER,
-                          q: QuadratureConfig = DEFAULT_QUADRATURE, seeds=None):
-    """All geodesics between x and y found from distinct seeds.
+_MULTIPLICITY_SEEDS = 4
 
-    Default seeding: the grid path, then reruns with edges near previous
-    paths penalized (distinct corridors surface as cheapest alternatives).
-    Converged results within ``tie_rel_tol`` of the minimum are kept and
-    deduplicated by sup-distance after arclength reparametrization.
+
+def geodesic_multiplicity(domain, x, y, s: SolverConfig = DEFAULT_SOLVER):
+    """All geodesics between x and y found from up to four distinct seeds.
+
+    Seeding: the grid path, then reruns with edges near previous paths
+    penalized (distinct corridors surface as cheapest alternatives); on a
+    convex domain, the chord and chords bumped by seeded normal draws.
+    Converged results within 1e-4 relative of the minimum length are kept
+    and deduplicated by sup-distance after arclength reparametrization.
     """
     X, _ = _as_points(x, domain.dimension)
     Y, _ = _as_points(y, domain.dimension)
     x, y = X[0], Y[0]
-    if seeds is None:
-        if domain.is_convex:
-            # perturbed chords all fall back to the same geodesic
-            chord = _chord_polyline(x, y)
-            seeds = [chord]
-            rng = np.random.default_rng(s.rng_seed)
-            arch = np.sin(np.pi * np.linspace(0.0, 1.0, 9))[:, None]
-            for _ in range(s.seed_count - 1):
-                mid_bump = rng.normal(scale=0.1 * np.linalg.norm(y - x), size=domain.dimension)
-                cand = chord.vertices + arch * mid_bump[None, :]
-                if domain.contains_many(cand).all():
-                    seeds.append(Polyline(cand))
-        else:
-            graph = _GridGraph(domain, x, y, s.grid_resolution)
-            first, _ = graph.shortest_path()
-            seeds = [first]
-            radius = max(2.0 * graph.h, 0.12 * float(np.linalg.norm(x - y)))
-            for _ in range(s.seed_count - 1):
-                mask = graph.edge_penalty_mask(seeds, radius)
-                try:
-                    alt, _ = graph.shortest_path(penalty_mask=mask)
-                except NoPathError:
-                    break
-                seeds.append(alt)
+    if domain.is_convex:
+        # perturbed chords all fall back to the same geodesic
+        chord = _chord_polyline(x, y)
+        seeds = [chord]
+        rng = np.random.default_rng(0)
+        arch = np.sin(np.pi * np.linspace(0.0, 1.0, 9))[:, None]
+        for _ in range(_MULTIPLICITY_SEEDS - 1):
+            mid_bump = rng.normal(scale=0.1 * np.linalg.norm(y - x), size=domain.dimension)
+            cand = chord.vertices + arch * mid_bump[None, :]
+            if domain.contains_many(cand).all():
+                seeds.append(Polyline(cand))
+    else:
+        graph = _GridGraph(domain, x, y, s.grid_resolution)
+        first, _ = graph.shortest_path()
+        seeds = [first]
+        radius = max(2.0 * graph.h, 0.12 * float(np.linalg.norm(x - y)))
+        for _ in range(_MULTIPLICITY_SEEDS - 1):
+            mask = graph.edge_penalty_mask(seeds, radius)
+            try:
+                alt, _ = graph.shortest_path(penalty_mask=mask)
+            except NoPathError:
+                break
+            seeds.append(alt)
     # a seed that stalls or leaves the domain is skipped; any other error is raised
-    solved = [r for r in refine_paths(domain, seeds, s, q)
+    solved = [r for r in refine_paths(domain, seeds, s)
               if not isinstance(r, (SolverStalledError, DomainViolationError))]
     results = [r for r in _raise_first(solved) if r.converged]
     if not results:
         raise SolverStalledError("no seed converged")
     kmin = min(r.qh_length for r in results)
-    ties = [r for r in results if r.qh_length <= kmin + s.tie_rel_tol * max(kmin, 1.0)]
+    ties = [r for r in results if r.qh_length <= kmin + 1e-4 * max(kmin, 1.0)]
     return dedupe_geodesics(ties)
 
 
-def dedupe_geodesics(results, rel_sup_tol=1e-2, samples=96):
-    """Drop duplicates: same geodesic when sup-distance < tol * diameter."""
+def dedupe_geodesics(results):
+    """Drop duplicates: same geodesic when, resampled to 96 vertices, the
+    sup-distance is below 1e-2 times the diameter."""
     kept = []
     sampled = []
     for r in sorted(results, key=lambda r: r.qh_length):
-        P = r.path.resample(samples).vertices
+        P = r.path.resample(96).vertices
         diam = max(float(np.linalg.norm(P.max(axis=0) - P.min(axis=0))), 1e-12)
-        if not any(float(np.abs(P - Q).max()) < rel_sup_tol * diam for Q in sampled):
+        if not any(float(np.abs(P - Q).max()) < 1e-2 * diam for Q in sampled):
             kept.append(r)
             sampled.append(P)
     return kept

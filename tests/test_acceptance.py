@@ -160,20 +160,19 @@ def test_criterion_06_orthogonality(strip_field_fine):
     rad = directional_radii(ST, np.zeros(2), u[None, :], 1.0)[0]
     x_off = rad * u
     res = qh_distance(ST, np.zeros(2), x_off)
-    ratios = orthogonality_ratio(ST, [0.0, 0.0], x_off,
-                                 [0.35, 0.5, 0.6, 0.66], ct, geodesic=res.path)
+    ratios = orthogonality_ratio(ST, x_off, [0.35, 0.5, 0.6, 0.66], ct, geodesic=res.path)
     ok &= bool((np.abs(ratios[-2:] - 1.0) <= 0.05).all())
     results.append(f"strip ratios={np.round(ratios, 3).tolist()}")
     res_ax = qh_distance(ST, np.zeros(2), np.array([1.0, 0.0]))
-    ratios_ax = orthogonality_ratio(ST, [0.0, 0.0], [1.0, 0.0],
-                                    [0.4, 0.55, 0.7, 0.75], ct, geodesic=res_ax.path)
+    ratios_ax = orthogonality_ratio(ST, [1.0, 0.0], [0.4, 0.55, 0.7, 0.75], ct,
+                                    geodesic=res_ax.path)
     results.append(f"(axis series={np.round(ratios_ax, 3).tolist()})")
     # half-plane: vertical radius
     fld = distance_field(HP, [0.0, 1.0], ((-1.28, 1.28), (0.3, 2.9)), 25)
     ct2 = ball_contour(fld, 1.0)
     res2 = qh_distance(HP, np.array([0.0, 1.0]), np.array([0.0, np.e]))
-    ratios2 = orthogonality_ratio(HP, [0.0, 1.0], [0.0, np.e],
-                                  [0.4, 0.6, 0.75, 0.8], ct2, geodesic=res2.path)
+    ratios2 = orthogonality_ratio(HP, [0.0, np.e], [0.4, 0.6, 0.75, 0.8], ct2,
+                                  geodesic=res2.path)
     ok &= bool((np.abs(ratios2[-2:] - 1.0) <= 0.05).all())
     results.append(f"half-plane ratios={np.round(ratios2, 3).tolist()}")
     _verdict(6, ok, "; ".join(results))

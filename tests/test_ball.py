@@ -277,6 +277,11 @@ def test_radii_refuse_a_nonconvex_domain():
         hausdorff_convergence(omega3, [1.0], directions=8)
 
 
+def test_smoothness_profile_refuses_3d():
+    with pytest.raises(InvalidInputError):
+        smoothness_profile(strip(3), [0.0, 0.0, 0.0], 1.0)
+
+
 def test_convexity_check_passes_on_strip(strip_field):
     viol = convexity_check(strip_field, 1.0, samples=300, domain=ST)
     assert viol == []
@@ -292,8 +297,8 @@ def test_orthogonality_halfplane():
     ct = ball_contour(fld, 1.0)
     x0 = np.array([0.0, 1.0])
     res = qh_distance(HP, x0, np.array([0.0, np.e]))
-    ratios = orthogonality_ratio(HP, x0, np.array([0.0, np.e]),
-                                 [0.5, 0.65, 0.8], ct, geodesic=res.path)
+    ratios = orthogonality_ratio(HP, np.array([0.0, np.e]), [0.5, 0.65, 0.8], ct,
+                                 geodesic=res.path)
     assert np.abs(ratios[-2:] - 1.0).max() < 0.05
 
 
@@ -302,7 +307,7 @@ def test_orthogonality_resolution_certificate(strip_contour):
     x = np.array([1.0, 0.0])
     res = qh_distance(ST, x0, x)
     with pytest.raises(ResolutionError):
-        orthogonality_ratio(ST, x0, x, [0.99], strip_contour, geodesic=res.path)
+        orthogonality_ratio(ST, x, [0.99], strip_contour, geodesic=res.path)
 
 
 def test_cusp_strip_example_radius():

@@ -178,3 +178,30 @@ def test_cli_manifest_records_effective_threads(tmp_path, monkeypatch):
                    "--out", str(tmp_path)])
     assert rc == EXIT_PASS
     assert json.load(open(tmp_path / "dist-manifest.json"))["threads"] == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["dist", "--domain", "strip", "--from", "0,x", "--to", "1,0"], EXIT_USAGE),
+    (["dist", "--domain", "strip", "--from", "0,0", "--to", "nan,0"], EXIT_USAGE),
+    (["ball", "--domain", "strip", "--center", "0,0", "--r", "1", "--window", "1,2"], EXIT_USAGE),
+    (["smoothcheck", "--center", "0;0"], EXIT_USAGE),
+    (["ortho", "--direction", "0,0"], EXIT_USAGE),
+    (["ortho", "--tschedule", "0.5,,0.9"], EXIT_USAGE),
+    (["cusp", "--z", "0.3,abc"], EXIT_USAGE),
+    (["cusp", "--x", "0,x"], EXIT_USAGE),
+    (["renorm", "--what", "hausdorff", "--radii", "1,x"], EXIT_USAGE),
+    (["renorm", "--what", "modulus", "--taus", "x"], EXIT_USAGE),
+    # "-1,0" parses as a value; the domain errors come after parsing
+    (["dist", "--domain", "omega-n", "--from", "-1,0", "--to", "1,0"], EXIT_ERROR),
+    (["dist", "--domain", "omega-n:x", "--from", "0,0", "--to", "1,0"], EXIT_ERROR),
+    (["dist", "--domain", "@missing.json", "--from", "0,0", "--to", "1,0"], EXIT_ERROR),
+    (["smoothcheck", "--domain", "slab3d", "--center", "0,0,0"], EXIT_ERROR),
+], ids=["from", "to-nan", "window", "center", "direction-zero", "tschedule", "z", "x",
+        "radii", "taus", "omega-n-without-n", "omega-n-x", "missing-file", "smoothcheck-3d"])
+def test_cli_malformed_values_exit_cleanly(argv, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # @missing.json resolves here
+    out = tmp_path / "out"
+    assert dispatch(argv + ["--out", str(out)]) == code
+    assert "internal error" not in capsys.readouterr().err
+    if code == EXIT_USAGE:
+        assert not out.exists()

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from qhtk.cases import l2_halfcircle_length
 from qhtk.geometry import DomainViolationError, Polyline, half_plane, punctured_space, strip
 from qhtk.metric import (
+    QUAD_ABS_TOL,
     EvaluationError,
-    QuadratureConfig,
     adaptive_simpson,
     halfplane_distance_oracle,
     punctured_distance_oracle,
@@ -43,10 +43,9 @@ def test_punctured_halfcircle_is_pi():
 def test_additivity_over_concatenation():
     dom = half_plane()
     a, m, b = np.array([0.0, 1.0]), np.array([0.4, 1.3]), np.array([1.0, 2.0])
-    q = QuadratureConfig()
-    whole = qh_path_length(dom, Polyline(np.stack([a, m, b])), q)
-    parts = qh_path_length(dom, _segment(a, m), q) + qh_path_length(dom, _segment(m, b), q)
-    assert abs(whole - parts) <= 2 * q.abs_tol + 1e-12
+    whole = qh_path_length(dom, Polyline(np.stack([a, m, b])))
+    parts = qh_path_length(dom, _segment(a, m)) + qh_path_length(dom, _segment(m, b))
+    assert abs(whole - parts) <= 2 * QUAD_ABS_TOL + 1e-12
 
 
 def test_path_exiting_domain_raises():
@@ -54,15 +53,9 @@ def test_path_exiting_domain_raises():
         qh_path_length(punctured_space(), _segment(np.array([-1.0, 0.0]), np.array([1.0, 0.0])))
 
 
-def test_quadrature_config_validation():
-    with pytest.raises(Exception):
-        QuadratureConfig(abs_tol=0.0)
-
-
 def test_reversal_symmetry_of_length():
     dom = strip()
     rng = np.random.default_rng(0)
-    q = QuadratureConfig()
     for _ in range(25):
         V = rng.uniform([-1.5, -0.8], [1.5, 0.8], size=(5, 2))
         try:
@@ -72,11 +65,11 @@ def test_reversal_symmetry_of_length():
         if not dom.contains_many(V).all():
             continue
         try:
-            a = qh_path_length(dom, p, q)
-            b = qh_path_length(dom, p.reversed(), q)
+            a = qh_path_length(dom, p)
+            b = qh_path_length(dom, p.reversed())
         except EvaluationError:
             continue
-        assert abs(a - b) <= 2 * q.abs_tol
+        assert abs(a - b) <= 2 * QUAD_ABS_TOL
 
 
 # --- lower bound ---------------------------------------------------------------

@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
 from qhtk.ball import directional_radii
-from qhtk.geometry import punctured_space, symmetric_box, unit_ball
+from qhtk.geometry import InvalidInputError, punctured_space, symmetric_box, unit_ball
 from qhtk.renorm import (
     ConfigurationError,
     InducedNorm,
@@ -125,6 +127,13 @@ def test_modulus_rejects_empty_budget(ball_norm):
         modulus_estimate(ball_norm, "convexity", [0.5], sample_budget=0)
 
 
+def test_modulus_refuses_3d():
+    # the domain is all the estimate reads before sampling, so no solve runs
+    stub = SimpleNamespace(domain=symmetric_box(3))
+    with pytest.raises(InvalidInputError):
+        modulus_estimate(stub, "convexity", [0.5])
+
+
 def test_table_interpolation_matches_direct_bisection(box_norm):
     # the dense radius table must agree with held-out exact bisections
     rng = np.random.default_rng(12)
@@ -138,7 +147,7 @@ def reference_norm_tables(domain, r, table, rng_seed=0):
     """Cache and spline of an induced norm built with three separate
     ``directional_radii`` calls: radii(U), radii(-U) and the table knots."""
     def solve(U):
-        return directional_radii(domain, np.zeros(2), U, r, vertex_count=25, rounds=18)
+        return directional_radii(domain, np.zeros(2), U, r, vertex_count=25)
 
     def unit(U):
         return U / np.sqrt((U * U).sum(axis=1, keepdims=True))

@@ -20,7 +20,7 @@ from qhtk.geometry import (
     unit_ball,
 )
 from qhtk.metric import (
-    QuadratureConfig,
+    QUAD_ABS_TOL,
     halfplane_distance_oracle,
     punctured_distance_oracle,
     qh_lower_bound,
@@ -148,13 +148,12 @@ def test_triangle_inequality_solver_strip():
     # solver-level triangle check; tolerance covers discretization bias
     rng = np.random.default_rng(21)
     pts = rng.uniform([-1.4, -0.75], [1.4, 0.75], size=(60, 2))
-    q = QuadratureConfig()
     for i in range(0, 60, 3):
         x, y, z = pts[i], pts[i + 1], pts[i + 2]
         kxz = qh_distance(ST, x, z).qh_length
         kxy = qh_distance(ST, x, y).qh_length
         kyz = qh_distance(ST, y, z).qh_length
-        assert kxz <= kxy + kyz + 3 * q.abs_tol + 2e-4 * (kxy + kyz)
+        assert kxz <= kxy + kyz + 3 * QUAD_ABS_TOL + 2e-4 * (kxy + kyz)
 
 
 def test_midpoint_convexity_of_length_functional():
@@ -162,7 +161,6 @@ def test_midpoint_convexity_of_length_functional():
     # the average cost
     rng = np.random.default_rng(4)
     dom = ST
-    q = QuadratureConfig()
     checked = 0
     while checked < 200:
         V0 = rng.uniform([-1.5, -0.8], [1.5, 0.8], size=(6, 2))
@@ -170,12 +168,12 @@ def test_midpoint_convexity_of_length_functional():
         try:
             p0, p1 = Polyline(V0), Polyline(V1)
             mid = Polyline(0.5 * (V0 + V1))
-            l0 = qh_path_length(dom, p0, q)
-            l1 = qh_path_length(dom, p1, q)
-            lm = qh_path_length(dom, mid, q)
+            l0 = qh_path_length(dom, p0)
+            l1 = qh_path_length(dom, p1)
+            lm = qh_path_length(dom, mid)
         except Exception:
             continue
-        assert lm <= 0.5 * (l0 + l1) + 2 * q.abs_tol
+        assert lm <= 0.5 * (l0 + l1) + 2 * QUAD_ABS_TOL
         checked += 1
 
 
