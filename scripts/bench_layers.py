@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the oracle, the descent kernels, the layers above them and the verdicts into BENCH_12.json.
+"""Time the oracle, the descent kernels, the layers above them, the verdicts and start-up into BENCH_16.json.
 
 For each preset, ``DomainSpec.depth_many`` (``depth_many`` of the star-like
 set) is timed on N = 49 points, the median point count of a single-path
@@ -61,9 +61,17 @@ The relax kernel is called by parameter name and the ray limits fall back
 to the one-ray ``_boundary_ray_limit``, so the script also runs against
 older trees.
 
+``--startup`` adds the cost of starting the library in a fresh
+interpreter: the process CPU seconds (user plus system) and the maximum
+resident set of ``import qhtk``, ``import qhtk.cli``, and two ``qh dist``
+commands as the ``qh`` script runs them, fastest of ``STARTUP_REPEAT``
+runs.  ``qh dist`` on the half-plane loads numpy alone; on polygon-P the
+chord leaves the domain, so the command also pays for scipy's sparse
+graph modules and the lattice seed.
+
 Usage:
     PYTHONPATH=src python3 scripts/bench_layers.py [--label change]
-        [--out BENCH_12.json] [--repeat 7] [--verdicts] [--tier1]
+        [--out BENCH_16.json] [--repeat 7] [--verdicts] [--tier1] [--startup]
 """
 
 import argparse
@@ -75,6 +83,7 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -95,6 +104,16 @@ SIZES = (49, 100_000)
 SEGMENTS = (48, 9_600, 168_000)
 PATHS = ((1, 49), (600, 17))  # (paths, vertices per path)
 VERDICT_REPEAT = 3  # fresh interpreters per verdict; the fastest is kept
+STARTUP_REPEAT = 5  # fresh interpreters per start-up row; the fastest is kept
+QH = "from qhtk.cli import main; main()"  # what the qh script runs
+STARTUP = {  # row: interpreter arguments; qh commands get --out appended
+    "import qhtk": ["-c", "import qhtk"],
+    "import qhtk.cli": ["-c", "import qhtk.cli"],
+    "qh dist half-plane": ["-c", QH, "dist", "--domain", "half-plane", "--from", "0,1",
+                           "--to", "1,2"],
+    "qh dist polygon-P": ["-c", QH, "dist", "--domain", "polygon-P", "--from", "-1.6,0.5",
+                          "--to", "-0.6,1.6"],
+}
 GRID_PAIRS = {  # lattice seeds: the benchmark's polygon-P pair, omega-5's axis ends
     "polygon-P": (np.array([-1.6, 0.5]), np.array([-0.6, 1.6])),
     "omega-n:5": omega_endpoints(5),
@@ -242,6 +261,41 @@ def verdict_cpu_seconds():
     return rows
 
 
+STARTUP_PROBE = """
+import json, os, subprocess, sys
+proc = subprocess.Popen(json.loads(sys.argv[1]), stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(json.dumps([status, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0]))
+"""
+
+
+def startup_costs():
+    """CPU seconds and peak RSS of each start-up row in a fresh interpreter,
+    fastest of ``STARTUP_REPEAT`` runs.
+
+    A child's peak RSS counts the memory of the process it was forked
+    from, so each row starts from a small probe interpreter, not from
+    this one.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(qhtk.__file__).resolve().parents[1]))
+    rows = {}
+    with tempfile.TemporaryDirectory() as out:
+        for name, argv in STARTUP.items():
+            cmd = [sys.executable] + argv + (["--out", out] if argv[1] == QH else [])
+            runs = []
+            for _ in range(STARTUP_REPEAT):
+                proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, json.dumps(cmd)],
+                                      env=env, capture_output=True, text=True, check=True)
+                status, cpu, rss = json.loads(proc.stdout)
+                if status != 0:
+                    raise SystemExit(f"start-up row {name!r} exited with status {status}")
+                runs.append((cpu, rss))
+            cpu, rss = min(runs)
+            rows[name] = {"cpu_s": float(f"{cpu:.4g}"), "max_rss_mb": float(f"{rss:.4g}")}
+            print(name, rows[name])
+    return rows
+
+
 DURATION_LINE = re.compile(r"^([0-9.]+)s (setup|call|teardown)\s+(\S+)$")
 
 
@@ -282,13 +336,15 @@ def time_per_call(fn, calls):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="BENCH_12.json")
+    ap.add_argument("--out", default="BENCH_16.json")
     ap.add_argument("--label", default="change", help="key of this run's rows in the file")
     ap.add_argument("--repeat", type=int, default=7, help="rounds over all cases")
     ap.add_argument("--verdicts", action="store_true",
                     help="add the CPU time of the multiplicity verdicts")
     ap.add_argument("--tier1", action="store_true",
                     help="add the Tier-1 per-test durations (runs the whole suite)")
+    ap.add_argument("--startup", action="store_true",
+                    help="add the CPU time and peak RSS of starting qhtk and qh dist")
     args = ap.parse_args()
     rng = np.random.default_rng(2)
     cases = []  # (preset, size, key, function, calls, divisor)
@@ -330,6 +386,8 @@ def main():
         run["verdict_cpu_s"] = verdict_cpu_seconds()
     if args.tier1:
         run["tier1"] = tier1_durations()
+    if args.startup:
+        run["startup"] = startup_costs()
     doc = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as f:

@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import (
     BoxPrimitive,
@@ -125,6 +124,8 @@ def count_polyline_intersections(p1: Polyline, p2: Polyline):
     points fall within 1e-3 of each other merge as well.  Returns
     (count, representative points).
     """
+    from scipy.spatial import cKDTree
+
     A = p1.resample(6000).vertices
     B = p2.resample(6000).vertices
     d = cKDTree(B).query(A)[0]
@@ -240,6 +241,8 @@ def enumerate_sign_geodesics(n):
 def polygon_prolongation_check(t):
     """k equals the corridor parameter t, and the geodesic through the
     corridor mouth extends to both notch corners."""
+    from scipy.spatial import cKDTree
+
     if not (0.0 < t <= 1.0):
         raise InvalidInputError("t must lie in (0, 1]")
     dom = prolongation_polygon()

@@ -325,14 +325,16 @@ class _SegmentSet:
             has_length = DD > 0.0
             self.points = A[~has_length, None, :]
             self.segments = A[has_length, None, :], D[has_length, None, :]
+        # the crossing table holds the polygon edges that are not horizontal:
+        # for a horizontal one (y < y1) != (y2 > y) is always False
         bounds = np.cumsum([0] + list(polygon_sizes))
+        E = bounds[-1]
+        keep = D[:E, 1] != 0.0
+        bounds = np.concatenate([[0], np.cumsum(keep)])[bounds]
         self.polygons = tuple(zip(bounds[:-1], bounds[1:]))
         if self.polygons:
-            E = bounds[-1]
-            dy = D[:E, 1]
-            # horizontal edges never cross; a unit divisor keeps them finite
-            self.crossing = tuple(c[:, None] for c in (
-                B[:E, 1], A[:E, 0], D[:E, 0], np.where(dy == 0.0, 1.0, dy)))
+            self.crossing = tuple(c[:E][keep, None] for c in (
+                A[:, 1], B[:, 1], A[:, 0], D[:, 0], D[:, 1]))
 
     def __call__(self, X):
         n, b = X.shape[0], self.block
@@ -382,8 +384,8 @@ class _SegmentSet:
 
     def _inside(self, P):
         x, y = P[0], P[1]
-        y2, x1, dx, dy = self.crossing
-        xint = y - self.A[1, :dx.shape[0]]
+        y1, y2, x1, dx, dy = self.crossing
+        xint = y - y1
         crosses = (xint < 0.0) != (y2 > y)
         xint *= dx
         xint /= dy
@@ -702,11 +704,35 @@ def _resample_paths(Vs, count):
     P, m, dim = Vs.shape
     seg = np.sqrt(np.sum(np.diff(Vs, axis=1) ** 2, axis=2))
     s = np.concatenate([np.zeros((P, 1)), np.cumsum(seg, axis=1)], axis=1)
-    out = np.empty((P, count, dim))
-    for p in range(P):
-        t = np.linspace(0.0, s[p, -1], count)
-        for j in range(dim):
-            out[p, :, j] = np.interp(t, s[p], Vs[p, :, j])
+    # each path's np.linspace(0, s[-1], count), which scales differently
+    # when the step underflows to 0
+    k = np.arange(count, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = s[:, -1:] / (count - 1)
+        t = np.where(step == 0.0, k / (count - 1) * s[:, -1:], k * step)
+    t[:, 0], t[:, -1] = 0.0, s[:, -1]  # t[0] is 0 * inf = NaN on a path of infinite length
+    # np.interp per coordinate: the last knot j with s[j] <= t, from the
+    # rank of t among the knots (a stable sort puts knots before equal t)
+    order = np.argsort(np.concatenate([s, t], axis=1), axis=1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(m + count), axis=1)
+    j = rank[:, m:] - np.arange(count) - 1
+    last = (j >= m - 1)[:, :, None]
+    j = np.minimum(j, m - 2) + m * np.arange(P)[:, None]  # rows of the flat knots
+    s0, s1 = s.ravel()[j][:, :, None], s.ravel()[j + 1][:, :, None]
+    V = Vs.reshape(P * m, dim)
+    f0, f1 = V[j], V[j + 1]
+    t = t[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (f1 - f0) / (s1 - s0)
+        out = slope * (t - s0) + f0
+        bad = np.isnan(out)
+        if bad.any():  # a NaN from one end retries from the other, then takes a flat value
+            out[bad] = (slope * (t - s1) + f1)[bad]
+            flat = np.isnan(out) & (f0 == f1)
+            out[flat] = f0[flat]
+    np.copyto(out, f0, where=s0 == t)
+    np.copyto(out, Vs[:, -1:], where=last)
     out[:, 0] = Vs[:, 0]
     out[:, -1] = Vs[:, -1]
     return out

@@ -304,8 +304,10 @@ def resolve_domain(arg):
         except (OSError, UnicodeDecodeError) as e:
             raise SchemaError([f"$.domain: cannot read {arg[1:]!r} ({e})"]) from None
         return parse_domain_spec(text)
-    name, _, param = arg.partition(":")
+    name, suffix, param = arg.partition(":")
     if name in PRESETS:
+        if suffix and "n" not in _PRESET_PARAMS.get(name, ()):
+            raise SchemaError([f"$.domain: preset {name!r} takes no ':n' suffix, got {arg!r}"])
         return _build_preset(name, {"n": param} if param else {})
     raise SchemaError([f"$.domain: unknown preset or file {arg!r}"])
 

@@ -22,6 +22,73 @@ class ConfigurationError(QHError):
     """The domain does not satisfy the renorming hypotheses."""
 
 
+class PeriodicCubicSpline:
+    """C² periodic cubic interpolant of closed data (y[-1] == y[0]).
+
+    The knot slopes solve the cyclic tridiagonal system of the periodic
+    boundary condition, condensed to one tridiagonal (n-2)-system with two
+    right-hand sides and eliminated without pivoting (the system is
+    diagonally dominant).  ``c`` holds the power-basis coefficients of each
+    piece, highest degree first, and evaluation wraps into [x[0], x[-1]].
+    The operations follow scipy's ``CubicSpline(bc_type="periodic")``
+    (LAPACK ``gtsv`` and ``PPoly``) in order, so the values agree with it
+    bit for bit wherever ``gtsv`` swaps no rows, as on equally spaced
+    knots; on knots whose spacing varies a lot ``gtsv`` pivots and the two
+    differ in the last bits.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.size < 4:
+            raise InvalidInputError("a periodic spline needs at least 3 distinct knots")
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        s = self._slopes(dx, slope)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    @staticmethod
+    def _slopes(dx, slope):
+        """Knot derivatives of the periodic spline, s[-1] == s[0]."""
+        m = dx.size - 1  # unknowns of the condensed system
+        b = np.concatenate([[3 * (dx[0] * slope[-1] + dx[-1] * slope[0])],
+                            3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])])
+        d = [2 * (dx[-1] + dx[0])] + (2 * (dx[:m - 1] + dx[1:m])).tolist()
+        upper = [dx[-1]] + dx[:m - 2].tolist()
+        lower = dx[1:m].tolist()
+        r1 = b[:-1].tolist()
+        r2 = [0.0] * m
+        r2[0], r2[-1] = -dx[0], -dx[-3]
+        for i in range(m - 1):
+            f = lower[i] / d[i]
+            d[i + 1] = d[i + 1] - f * upper[i]
+            r1[i + 1] = r1[i + 1] - f * r1[i]
+            r2[i + 1] = r2[i + 1] - f * r2[i]
+        for r in (r1, r2):
+            r[-1] = r[-1] / d[-1]
+            for i in range(m - 2, -1, -1):
+                r[i] = (r[i] - upper[i] * r[i + 1]) / d[i]
+        # the condensed solutions fix the last unknown, then the rest
+        last = ((b[-1] - dx[-2] * r1[0] - dx[-1] * r1[-1])
+                / (2 * (dx[-1] + dx[-2]) + dx[-2] * r2[0] + dx[-1] * r2[-1]))
+        s = np.empty(m + 2)
+        s[:-2] = np.array(r1) + last * np.array(r2)
+        s[-2] = last
+        s[-1] = s[0]
+        return s
+
+    def __call__(self, t):
+        x = self.x
+        t = x[0] + (np.asarray(t, dtype=float) - x[0]) % (x[-1] - x[0])
+        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+        h = t - x[i]
+        c = self.c[:, i]
+        h2 = h * h
+        return c[3] + c[2] * h + c[1] * h2 + c[0] * (h2 * h)
+
+
 class InducedNorm:
     """Minkowski functional of the centered ball B_k(0, r).
 
@@ -55,8 +122,10 @@ class InducedNorm:
         else:
             U = rng.normal(size=(8, dim))
             U /= np.sqrt((U * U).sum(axis=1, keepdims=True))
-        knot_th = np.linspace(0.0, 2.0 * np.pi, int(table) if table and dim == 2 else 0,
-                              endpoint=False)
+        n_knots = int(table) if table and dim == 2 else 0
+        if 0 < n_knots < 3:
+            raise InvalidInputError("the radius table needs at least 3 knots")
+        knot_th = np.linspace(0.0, 2.0 * np.pi, n_knots, endpoint=False)
         knots = np.stack([np.cos(knot_th), np.sin(knot_th)], axis=1).reshape(-1, dim)
         # cache what radii(U) and then radii(-U) would; the knots stay out
         # of the cache, so exact queries along them still solve afresh
@@ -70,11 +139,9 @@ class InducedNorm:
         if knot_th.size:
             # the radius is a smooth periodic function of the angle, so a
             # cubic spline over the knots interpolates far below eval_tol
-            from scipy.interpolate import CubicSpline
-
             rho = rho[len(keys):]
-            self._spline = CubicSpline(np.append(knot_th, 2.0 * np.pi), np.append(rho, rho[0]),
-                                       bc_type="periodic")
+            self._spline = PeriodicCubicSpline(np.append(knot_th, 2.0 * np.pi),
+                                               np.append(rho, rho[0]))
 
     # -- hypothesis gates ---------------------------------------------------
 

@@ -25,9 +25,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-from scipy.spatial import cKDTree
 
 from .geometry import (
     DomainViolationError,
@@ -721,11 +718,14 @@ class _GridGraph:
 
     def shortest_path(self, penalty_mask=None):
         """Cheapest lattice path; edges under ``penalty_mask`` cost 10 times more."""
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+
         w = self.base_w.copy()
         if penalty_mask is not None:
             w = np.where(penalty_mask, w * 10.0, w)
         graph = csr_matrix((w, (self.rows, self.cols)), shape=(self.n_vertices,) * 2)
-        dist, pred = _csgraph_dijkstra(
+        dist, pred = dijkstra(
             graph, directed=False, indices=self.src, return_predecessors=True
         )
         if not np.isfinite(dist[self.dst]):
@@ -741,6 +741,8 @@ class _GridGraph:
 
     def edge_penalty_mask(self, paths, radius):
         """Edges with both endpoints near any of the given polylines."""
+        from scipy.spatial import cKDTree
+
         samples = np.concatenate([p.resample(200).vertices for p in paths])
         tree = cKDTree(samples)
         node_near = np.zeros(self.n_vertices, dtype=bool)

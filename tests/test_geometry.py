@@ -12,6 +12,7 @@ from qhtk.geometry import (
     CertificationError,
     DomainSpec,
     DomainViolationError,
+    EUCLIDEAN,
     HalfSpace,
     InvalidInputError,
     NormSpec,
@@ -21,6 +22,8 @@ from qhtk.geometry import (
     RemovedSegment,
     Slab,
     StarlikeDomain3D,
+    _resample_paths,
+    _SegmentSet,
     certify_segment,
     half_plane,
     l2_example_distance,
@@ -525,6 +528,76 @@ def test_starlike_distance_brute_force():
 def test_polyline_rejects_duplicates():
     with pytest.raises(InvalidInputError):
         Polyline(np.array([[0.0, 0.0], [0.0, 0.0]]))
+
+
+def reference_resample(Vs, count):
+    """Per-path np.linspace and np.interp, the loop _resample_paths replaces."""
+    P, m, dim = Vs.shape
+    seg = np.sqrt(np.sum(np.diff(Vs, axis=1) ** 2, axis=2))
+    s = np.concatenate([np.zeros((P, 1)), np.cumsum(seg, axis=1)], axis=1)
+    out = np.empty((P, count, dim))
+    for p in range(P):
+        t = np.linspace(0.0, s[p, -1], count)
+        for j in range(dim):
+            out[p, :, j] = np.interp(t, s[p], Vs[p, :, j])
+    out[:, 0] = Vs[:, 0]
+    out[:, -1] = Vs[:, -1]
+    return out
+
+
+RESAMPLE_CASES = ("random", "repeated", "zero-length", "underflow", "denormal", "lattice",
+                  "field")
+
+
+@pytest.mark.parametrize("case", RESAMPLE_CASES)
+def test_resample_paths_keeps_the_bits_of_np_interp(case):
+    rng = np.random.default_rng(RESAMPLE_CASES.index(case))
+    for _ in range(40):
+        P, m, dim = int(rng.integers(1, 30)), int(rng.integers(2, 25)), int(rng.integers(2, 4))
+        count = int(rng.integers(2, 40))
+        Vs = rng.normal(size=(P, m, dim)) * 10.0 ** rng.integers(-3, 3)
+        if case == "repeated":  # runs of equal vertices, so equal knots
+            idx = np.sort(rng.integers(0, m, size=(P, m)), axis=1)
+            Vs = np.take_along_axis(Vs, idx[:, :, None], axis=1)
+        elif case == "zero-length":  # mixed with paths of positive length
+            Vs[::3] = Vs[::3, :1]
+        elif case == "underflow":  # squared steps underflow, so segments read 0
+            Vs[:, 1:] = Vs[:, :1] + np.cumsum(rng.normal(size=(P, m - 1, dim)) * 1e-170, axis=1)
+            Vs[1::2, -1] += 1.0
+        elif case == "denormal":  # the linspace step underflows to 0
+            Vs = Vs[:, :1] + rng.normal(size=(P, m, dim)) * 1e-310
+        elif case == "lattice":  # exact ties between knots and samples
+            Vs = np.round(Vs * 4.0)
+        elif case == "field":  # the field levels: 17 -> 9 -> 17 vertices
+            t = np.linspace(0.0, 1.0, 17)[None, :, None]
+            Vs = rng.normal(size=(P, 1, 2)) + t * rng.normal(size=(P, 1, 2))
+            Vs[:, 1:-1] += 1e-3 * rng.normal(size=(P, 15, 2))
+            Vs = _resample_paths(Vs, 9)
+            count = 17
+        with np.errstate(all="ignore"):
+            want = reference_resample(Vs, count)
+        assert np.array_equal(_resample_paths(Vs, count), want)
+
+
+def test_crossing_table_skips_horizontal_edges():
+    V = np.array(prolongation_polygon().primitives[0].vertices, dtype=float)
+    segs = _SegmentSet(V, np.roll(V, -1, axis=0), [len(V)], EUCLIDEAN)
+    assert segs.crossing[0].shape == (4, 1)  # the four vertical edges of eight
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-5.0, 5.0, size=(4000, 2))
+    X[:2000, 1] = rng.choice(np.unique(V[:, 1]), 2000)  # at a horizontal edge's height
+    X[:500, 0] = rng.choice(np.unique(V[:, 0]), 500)  # on its end points and beyond
+    X[2000:2500] = V[rng.integers(0, len(V), 500)]
+    # the even-odd rule over every edge, a unit divisor for horizontal ones
+    x, y = X[:, 0], X[:, 1]
+    A, D = V, np.roll(V, -1, axis=0) - V
+    xint = y[None, :] - A[:, 1:2]
+    crosses = (xint < 0.0) != (A[:, 1:2] + D[:, 1:2] > y[None, :])
+    xint *= D[:, 0:1]
+    xint /= np.where(D[:, 1:2] == 0.0, 1.0, D[:, 1:2])
+    xint += A[:, 0:1]
+    want = np.logical_xor.reduce((x < xint) & crosses, axis=0)
+    assert np.array_equal(segs._inside(np.ascontiguousarray(X.T)), want)
 
 
 def test_polyline_resample_keeps_endpoints():

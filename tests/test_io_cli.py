@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qhtk
 from qhtk.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, dispatch
 from qhtk.geometry import StarlikeDomain3D
 from qhtk.io import (
@@ -85,6 +89,18 @@ def test_resolve_domain_file(tmp_path):
     p.write_text(dumps_json({"preset": "unit-ball"}))
     dom = resolve_domain("@" + str(p))
     assert dom.contains([0.0, 0.0])
+
+
+@pytest.mark.parametrize("arg", ["box:3", "unit-ball:3", "half-plane:3", "strip:7",
+                                 "polygon-P:2", "box:"])
+def test_resolve_domain_refuses_a_suffix_the_preset_does_not_read(arg):
+    with pytest.raises(SchemaError, match="suffix"):
+        resolve_domain(arg)
+
+
+def test_resolve_domain_suffix_sets_n():
+    assert resolve_domain("omega-n:3").name == "omega-3"
+    assert resolve_domain("l2-section:3").dimension == 4
 
 
 def test_svg_renders_deterministically():
@@ -196,8 +212,14 @@ def test_cli_manifest_records_effective_threads(tmp_path, monkeypatch):
     (["dist", "--domain", "omega-n:x", "--from", "0,0", "--to", "1,0"], EXIT_ERROR),
     (["dist", "--domain", "@missing.json", "--from", "0,0", "--to", "1,0"], EXIT_ERROR),
     (["smoothcheck", "--domain", "slab3d", "--center", "0,0,0"], EXIT_ERROR),
+    # only omega-n and l2-section read the ':n' suffix
+    (["dist", "--domain", "box:3", "--from", "0,0,0", "--to", "0.5,0,0"], EXIT_ERROR),
+    (["dist", "--domain", "unit-ball:3", "--from", "0,0,0", "--to", "0.5,0,0"], EXIT_ERROR),
+    (["dist", "--domain", "half-plane:3", "--from", "0,1,0", "--to", "0,2,0"], EXIT_ERROR),
+    (["dist", "--domain", "strip:7", "--from", "0,0", "--to", "1,0"], EXIT_ERROR),
 ], ids=["from", "to-nan", "window", "center", "direction-zero", "tschedule", "z", "x",
-        "radii", "taus", "omega-n-without-n", "omega-n-x", "missing-file", "smoothcheck-3d"])
+        "radii", "taus", "omega-n-without-n", "omega-n-x", "missing-file", "smoothcheck-3d",
+        "box-suffix", "unit-ball-suffix", "half-plane-suffix", "strip-suffix"])
 def test_cli_malformed_values_exit_cleanly(argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # @missing.json resolves here
     out = tmp_path / "out"
@@ -205,3 +227,32 @@ def test_cli_malformed_values_exit_cleanly(argv, code, tmp_path, monkeypatch, ca
     assert "internal error" not in capsys.readouterr().err
     if code == EXIT_USAGE:
         assert not out.exists()
+
+
+IMPORT_GUARD = """
+import sys
+import qhtk, qhtk.cli, qhtk.cases, qhtk.renorm
+from qhtk.cli import dispatch
+from qhtk.geometry import prolongation_polygon, symmetric_box
+from qhtk.renorm import InducedNorm
+from qhtk.solver import grid_init
+
+assert dispatch(["dist", "--domain", "half-plane", "--from", "0,1", "--to", "1,2",
+                 "--out", sys.argv[1]]) == 0
+InducedNorm(symmetric_box(), 1.0, table=16)
+print(sorted(m for m in ("scipy.sparse", "scipy.spatial", "scipy.interpolate")
+             if m in sys.modules))
+# the chord leaves polygon-P, so the seed comes from the lattice's Dijkstra
+seed = grid_init(prolongation_polygon(), [-1.6, 0.5], [-0.6, 1.6])
+print("grid_cost" in seed.meta, "scipy.sparse.csgraph" in sys.modules)
+"""
+
+
+def test_convex_paths_import_no_scipy_stack(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(qhtk.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded, lattice = proc.stdout.strip().splitlines()[-2:]
+    assert loaded == "[]"
+    assert lattice == "True True"

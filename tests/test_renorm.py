@@ -2,13 +2,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
 
 from qhtk.ball import directional_radii
 from qhtk.geometry import InvalidInputError, punctured_space, symmetric_box, unit_ball
 from qhtk.renorm import (
     ConfigurationError,
     InducedNorm,
+    PeriodicCubicSpline,
     hausdorff_convergence,
     minkowski_eval,
     modulus_estimate,
@@ -163,8 +163,8 @@ def reference_norm_tables(domain, r, table, rng_seed=0):
             cache[keys[i]] = float(v)
     th = np.linspace(0.0, 2.0 * np.pi, table, endpoint=False)
     rho = solve(np.stack([np.cos(th), np.sin(th)], axis=1))
-    spline = CubicSpline(np.concatenate([th, [2.0 * np.pi]]),
-                         np.concatenate([rho, [rho[0]]]), bc_type="periodic")
+    spline = PeriodicCubicSpline(np.concatenate([th, [2.0 * np.pi]]),
+                                 np.concatenate([rho, [rho[0]]]))
     return cache, spline
 
 
@@ -177,3 +177,31 @@ def test_one_radii_call_keeps_the_bits_of_three(domain):
     assert np.array_equal(norm._spline.x, spline.x)
     assert np.array_equal(norm._spline.c, spline.c)
 
+
+@pytest.mark.parametrize("table", [8, 16, 256])
+@pytest.mark.parametrize("shape", ["smooth", "box"])
+def test_periodic_spline_matches_scipy(table, shape):
+    from scipy.interpolate import CubicSpline
+
+    th = np.linspace(0.0, 2.0 * np.pi, table, endpoint=False)
+    if shape == "smooth":
+        rho = 1.0 + 0.3 * np.cos(2.0 * th) + 0.1 * np.sin(3.0 * th)
+    else:  # the radius of a square, kinked at the diagonals
+        rho = 1.0 / np.maximum(np.abs(np.cos(th)), np.abs(np.sin(th)))
+    x, y = np.append(th, 2.0 * np.pi), np.append(rho, rho[0])
+    ours, ref = PeriodicCubicSpline(x, y), CubicSpline(x, y, bc_type="periodic")
+    assert np.array_equal(ours.x, ref.x)
+    scale = np.abs(ref.c).max(axis=1, keepdims=True)
+    assert (np.abs(ours.c - ref.c) <= 1e-14 * scale).all()
+    # angles beyond one period exercise the wrap
+    t = np.random.default_rng(table).uniform(-4.0 * np.pi, 6.0 * np.pi, 10_000)
+    assert (np.abs(ours(t) - ref(t)) <= 1e-14 * np.abs(ref(t))).all()
+    assert np.array_equal(ours(th), rho)
+    assert ours(2.0 * np.pi) == rho[0]
+
+
+def test_periodic_spline_needs_three_knots():
+    with pytest.raises(InvalidInputError):
+        PeriodicCubicSpline([0.0, 1.0, 2.0], [1.0, 2.0, 1.0])
+    with pytest.raises(InvalidInputError):
+        InducedNorm(symmetric_box(), 1.0, table=2)
