@@ -9,7 +9,8 @@ gap, ``converged``, iterations, history, meta), the lengths, vertices and
 gradient norms of ``solve_batch``, or the type and message of a
 ``QHError``.  ``compare`` unpickles the arguments in the tree on
 ``PYTHONPATH``, calls the same entry point there and lists every field
-whose bits differ.  A tree without ``refine_paths`` replays such a call
+whose bits differ; a call whose arguments use a class that tree lacks is
+counted as skipped.  A tree without ``refine_paths`` replays such a call
 seed by seed through ``refine_path``, so a batch recorded in one tree is
 checked against one-seed solves in an older one.
 
@@ -235,14 +236,18 @@ def compare(path, limit=20):
     with open(path, "rb") as f:
         doc = pickle.load(f)
     calls = doc["calls"]
-    bad = 0
+    bad = skipped = 0
     counts = {}
     for i, entry in enumerate(calls):
         counts[entry["func"]] = counts.get(entry["func"], 0) + 1
         if "unpicklable" in entry:
             diffs = [f"arguments were not recorded: {entry['unpicklable']}"]
         else:
-            args, kwargs = pickle.loads(entry["args"])
+            try:
+                args, kwargs = pickle.loads(entry["args"])
+            except AttributeError:  # a class this tree does not have
+                skipped += 1
+                continue
             diffs = _diff(entry["outcome"], _call(entry["func"], args, kwargs))
         if diffs:
             bad += 1
@@ -252,7 +257,8 @@ def compare(path, limit=20):
                     print(f"    {d}")
     summary = ", ".join(f"{n} {name}" for name, n in sorted(counts.items()))
     print(f"{path}: {len(calls)} calls ({summary}) recorded by {doc['source']!r}; "
-          f"{len(calls) - bad} bit-identical, {bad} differ")
+          f"{len(calls) - bad - skipped} bit-identical, {bad} differ, "
+          f"{skipped} skipped (arguments use a class this tree lacks)")
     return 1 if bad else 0
 
 

@@ -4,7 +4,6 @@ from .geometry import (
     AxisPointFamily,
     BallPrimitive,
     BoxPrimitive,
-    CertificationError,
     DomainSpec,
     DomainViolationError,
     EUCLIDEAN,
@@ -17,13 +16,13 @@ from .geometry import (
     RemovedPoint,
     RemovedSegment,
     Slab,
-    StarlikeDomain3D,
+    StarlikeBody,
     half_plane,
-    l2_example_distance,
     l2_section,
     norm_eval,
     prolongation_polygon,
     punctured_space,
+    starlike3d,
     strip,
     symmetric_box,
     unit_ball,

@@ -74,7 +74,7 @@ def solve_batch(domain, starts, ends, s: SolverConfig = DEFAULT_SOLVER,
         d_e = domain.boundary_distance_many(ends[work])
         gap = domain.norm.eval(ends[work] - starts[work])
         bound = np.maximum(np.log1p(gap / d_s), np.log1p(gap / d_e))
-        name = getattr(domain, "name", "") or "domain"
+        name = domain.name or "domain"
         worst = int(np.argmin(f - bound))
         log_lower_bound(name + f"[batch x{work.size}]", f[worst], bound[worst])
         # record every genuine undercut, not only the worst

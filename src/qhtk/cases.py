@@ -21,10 +21,10 @@ from .geometry import (
     Polyline,
     RemovedPoint,
     RemovedSegment,
-    StarlikeDomain3D,
     l2_section,
     prolongation_polygon,
     punctured_space,
+    starlike3d,
 )
 from .metric import adaptive_simpson
 from .solver import (
@@ -357,7 +357,7 @@ def starlike3d_nonuniqueness():
     on a lattice of spacing 0.05: 1/d has no strict local maxima (by more
     than 1e-6) and its infimum 2 (max d = 1/2) is attained on the ridge
     surface."""
-    dom = StarlikeDomain3D()
+    dom = starlike3d()
     grid_h = 0.05
     x = np.array([0.5, 0.0, 1.0])
     y = np.array([-0.5, 0.0, 1.0])

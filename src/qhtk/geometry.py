@@ -33,10 +33,6 @@ class DomainViolationError(QHError):
     """Query point outside the open domain (or exactly on its boundary)."""
 
 
-class CertificationError(QHError):
-    """A truncation / resolution certificate could not be established."""
-
-
 def _as_points(x, dim=None):
     """Return points as a (N, dim) float array plus a flag for 1-D input."""
     a = np.asarray(x, dtype=float)
@@ -52,6 +48,30 @@ def _as_points(x, dim=None):
     return a, single
 
 
+def _finite(value, ndim=0):
+    """Whether ``value`` is a finite real number (ndim 0) or array with ``ndim`` axes."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return a.ndim == ndim and bool(np.isfinite(a).all())
+
+
+def _is_index(value):
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require(ok, message):
+    """Raise InvalidInputError(message) unless ``ok``; messages start with the field."""
+    if not ok:
+        raise InvalidInputError(message)
+
+
+def _length_misfit(dimension, vector):
+    return "" if len(vector) == dimension else f"needs vectors of length {dimension}"
+
+
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
@@ -64,11 +84,10 @@ class NormSpec:
     p: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("euclidean", "p"):
-            raise InvalidInputError(f"unknown norm kind {self.kind!r}")
-        if self.kind == "p":
-            if self.p is None or not np.isfinite(self.p) or self.p <= 1.0:
-                raise InvalidInputError("p-norm exponent must be finite and > 1")
+        _require(self.kind in ("euclidean", "p"), f"kind: unknown norm kind {self.kind!r}")
+        _require(self.kind == "p" or self.p is None, "p: not allowed for the euclidean norm")
+        _require(self.kind == "euclidean" or (_finite(self.p) and self.p > 1.0),
+                 "p: exponent must be finite and > 1")
 
     @property
     def exponent(self):
@@ -144,8 +163,10 @@ def norm_eval(norm: NormSpec, v):
 # primitives (intersected to form the open set)
 # ---------------------------------------------------------------------------
 #
-# Primitives and removals are plain data.  ``DomainSpec`` lowers them once,
-# at construction, into the flat oracle kernels further below.
+# Primitives and removals are plain data that check their own values when
+# built.  ``misfit(dimension, norm)`` says why a part cannot sit in a domain
+# of that dimension and norm ("" when it can); ``DomainSpec`` asks once, then
+# lowers the parts into the flat oracle kernels further below.
 
 @dataclass(frozen=True)
 class HalfSpace:
@@ -156,8 +177,12 @@ class HalfSpace:
     convex = True
 
     def __post_init__(self):
-        if not np.any(np.asarray(self.normal, dtype=float)):
-            raise InvalidInputError("half-space needs a nonzero normal")
+        _require(_finite(self.normal, 1) and np.any(self.normal),
+                 "normal: finite nonzero vector required")
+        _require(_finite(self.offset), "offset: finite number required")
+
+    def misfit(self, dimension, norm):
+        return _length_misfit(dimension, self.normal)
 
 
 @dataclass(frozen=True)
@@ -167,6 +192,13 @@ class BallPrimitive:
     center: tuple
     radius: float
     convex = True
+
+    def __post_init__(self):
+        _require(_finite(self.center, 1), "center: finite vector required")
+        _require(_finite(self.radius) and self.radius > 0.0, "radius: finite number > 0 required")
+
+    def misfit(self, dimension, norm):
+        return _length_misfit(dimension, self.center)
 
 
 @dataclass(frozen=True)
@@ -178,6 +210,14 @@ class Slab:
     upper: float
     convex = True
 
+    def __post_init__(self):
+        _require(_is_index(self.axis) and self.axis >= 0, "axis: integer >= 0 required")
+        _require(_finite(self.lower) and _finite(self.upper) and self.lower < self.upper,
+                 "upper: finite and above a finite lower required")
+
+    def misfit(self, dimension, norm):
+        return "" if self.axis < dimension else f"axis out of range for dimension {dimension}"
+
 
 @dataclass(frozen=True)
 class BoxPrimitive:
@@ -187,6 +227,15 @@ class BoxPrimitive:
     upper: tuple
     convex = True
 
+    def __post_init__(self):
+        _require(_finite(self.lower, 1), "lower: finite vector required")
+        _require(_finite(self.upper, 1) and len(self.upper) == len(self.lower)
+                 and all(lo < hi for lo, hi in zip(self.lower, self.upper)),
+                 "upper: finite vector above lower on every axis required")
+
+    def misfit(self, dimension, norm):
+        return _length_misfit(dimension, self.lower)
+
 
 @dataclass(frozen=True)
 class Polygon:
@@ -195,9 +244,12 @@ class Polygon:
     vertices: tuple
 
     def __post_init__(self):
-        V = np.asarray(self.vertices, dtype=float)
-        if V.ndim != 2 or V.shape[1] != 2 or V.shape[0] < 3:
-            raise InvalidInputError("polygon needs >= 3 planar vertices")
+        _require(_finite(self.vertices, 2) and len(self.vertices) >= 3
+                 and np.shape(self.vertices)[1] == 2,
+                 "vertices: >= 3 finite planar vertices required")
+
+    def misfit(self, dimension, norm):
+        return "" if dimension == 2 else "polygons are planar only"
 
     @property
     def convex(self):
@@ -211,6 +263,32 @@ class Polygon:
         return bool(one_way and abs(abs(turning) - 2.0 * np.pi) < 1e-6)
 
 
+@dataclass(frozen=True)
+class StarlikeBody:
+    """Star-like 3-D set: the open unit cylinder around the x3 axis with the
+    axis ray {x1 = x2 = 0, x3 >= 1/2} deleted, glued over x3 < 1/2 to the
+    open ball around (0, 0, 1/2) of radius 1.  Euclidean norm, dimension 3.
+
+    Interior boundary distances reduce to two closed forms:
+      x3 >= 1/2 : min(rho, 1 - rho)            rho = sqrt(x1^2 + x2^2)
+      x3 <  1/2 : min(||x - c||, 1 - ||x - c||)  c = (0, 0, 1/2)
+    since the deleted ray's tip is c and the rim circle lies on the sphere.
+    """
+
+    convex = False
+
+    def misfit(self, dimension, norm):
+        return "" if dimension == 3 and norm.kind == "euclidean" else "Euclidean and 3-D only"
+
+
+def _starlike_depth(X):
+    rho = np.sqrt(X[:, 0] ** 2 + X[:, 1] ** 2)
+    upper = np.minimum(rho, 1.0 - rho)
+    rc = np.sqrt(rho * rho + (X[:, 2] - 0.5) ** 2)
+    lower = np.minimum(rc, 1.0 - rc)
+    return np.where(X[:, 2] >= 0.5, upper, lower)
+
+
 # ---------------------------------------------------------------------------
 # removals (closed null sets deleted from the primitive intersection)
 # ---------------------------------------------------------------------------
@@ -219,11 +297,25 @@ class Polygon:
 class RemovedPoint:
     point: tuple
 
+    def __post_init__(self):
+        _require(_finite(self.point, 1), "point: finite vector required")
+
+    def misfit(self, dimension, norm):
+        return _length_misfit(dimension, self.point)
+
 
 @dataclass(frozen=True)
 class RemovedSegment:
     a: tuple
     b: tuple
+
+    def __post_init__(self):
+        _require(_finite(self.a, 1), "a: finite vector required")
+        _require(_finite(self.b, 1) and len(self.b) == len(self.a),
+                 "b: finite vector of the length of a required")
+
+    def misfit(self, dimension, norm):
+        return _length_misfit(dimension, self.a)
 
 
 @dataclass(frozen=True)
@@ -233,22 +325,28 @@ class AxisPointFamily:
     Distances are exact: for a point supported on coordinates 1..m the
     candidates at i > m have squared distance ||x||^2 + 2 (1-1/i)^2, which
     is strictly increasing in i, so a scan up to the support plus the first
-    tail term is a certified minimum.  Euclidean ambient norm only.
+    tail term, at max(m + 1, start_index), is a certified minimum.
+    Euclidean ambient norm only.
     """
 
     start_index: int = 2
 
+    def __post_init__(self):
+        _require(_is_index(self.start_index) and self.start_index >= 2,
+                 "start_index: integer >= 2 required")
+
+    def misfit(self, dimension, norm):
+        return "" if norm.kind == "euclidean" else "the axis point family is Euclidean only"
+
     def distance(self, X, norm):
-        if norm.kind != "euclidean":
-            raise InvalidInputError("axis point family requires the Euclidean norm")
         m = X.shape[1]
         nn = np.sum(X * X, axis=1)
         best = np.full(X.shape[0], np.inf)
-        for i in range(max(2, self.start_index), m + 1):
+        for i in range(self.start_index, m + 1):
             c = SQRT2 * (1.0 - 1.0 / i)
             cand = nn - 2.0 * c * np.abs(X[:, i - 1]) + c * c
             best = np.minimum(best, cand)
-        c_tail = SQRT2 * (1.0 - 1.0 / (m + 1))
+        c_tail = SQRT2 * (1.0 - 1.0 / max(m + 1, self.start_index))
         best = np.minimum(best, nn + c_tail * c_tail)
         return np.sqrt(np.maximum(best, 0.0))
 
@@ -405,8 +503,8 @@ def _lower(primitives, removals, norm):
     Half-spaces, slabs, box faces and convex polygon edges become the face
     table: rows with a coordinate normal are evaluated per column, the
     others per row.  Non-convex polygon edges, removed segments and removed
-    points become one segment set.  Balls and removals with no kernel here
-    (the axis point family) keep their exact closed forms.
+    points become one segment set.  Balls, the star-like body and the axis
+    point family keep their exact closed forms.
     """
     axis_faces, normals, offsets, kernels = [], [], [], []
     starts, ends, polygon_sizes = [], [], []
@@ -433,6 +531,8 @@ def _lower(primitives, removals, norm):
         elif isinstance(p, BallPrimitive):
             kernels.append(partial(_ball_depth, center=np.asarray(p.center, dtype=float),
                                    radius=p.radius, norm=norm))
+        elif isinstance(p, StarlikeBody):
+            kernels.append(_starlike_depth)
         elif isinstance(p, Polygon):
             V = np.asarray(p.vertices, dtype=float)
             W = np.roll(V, -1, axis=0)
@@ -446,8 +546,6 @@ def _lower(primitives, removals, norm):
                 starts += list(V)
                 ends += list(W)
                 polygon_sizes.append(len(V))
-        else:
-            raise InvalidInputError(f"unknown primitive {type(p).__name__}")
     if axis_faces:
         kernels.append(partial(_axis_face_depth, faces=tuple(axis_faces)))
     if normals:
@@ -477,8 +575,10 @@ class DomainSpec:
     ``depth_many`` returns exact boundary distances for interior points and
     non-positive values outside (usable as an inside mask); the public
     ``boundary_distance`` validates interiority and raises otherwise.  The
-    primitives and removals are compiled into flat kernels once, here, and
-    every oracle evaluation goes through ``depth_many``.
+    primitives and removals are checked against the dimension and norm and
+    compiled into flat kernels once, here, and every oracle evaluation goes
+    through ``depth_many``.  It is the one domain class: the star-like 3-D
+    set is its ``StarlikeBody`` primitive.
     """
 
     dimension: int
@@ -488,10 +588,17 @@ class DomainSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.dimension < 2:
-            raise InvalidInputError("domains need dimension >= 2")
-        if not self.primitives and not self.removals:
-            raise InvalidInputError("domain must have a non-empty boundary")
+        _require(_is_index(self.dimension) and self.dimension >= 2,
+                 "dimension: integer >= 2 required")
+        _require(isinstance(self.name, str), "name: string required")
+        _require(self.primitives or self.removals,
+                 "primitives: a domain needs at least one primitive or removal")
+        for field_name, kinds in (("primitives", _PRIMITIVES), ("removals", _REMOVALS)):
+            for i, part in enumerate(getattr(self, field_name)):
+                problem = (part.misfit(self.dimension, self.norm) if isinstance(part, kinds)
+                           else f"not a {field_name[:-1]}: {type(part).__name__}")
+                if problem:
+                    raise InvalidInputError(f"{field_name}[{i}]: {problem}")
         object.__setattr__(self, "_kernels", _lower(self.primitives, self.removals, self.norm))
 
     @property
@@ -529,129 +636,46 @@ class DomainSpec:
         """Axis bounds implied by the primitives (None per side if unbounded)."""
         lo = [None] * self.dimension
         hi = [None] * self.dimension
+
+        def bound(j, l, h):
+            if l is not None:
+                lo[j] = l if lo[j] is None else max(lo[j], l)
+            if h is not None:
+                hi[j] = h if hi[j] is None else min(hi[j], h)
+
         for p in self.primitives:
             if isinstance(p, Slab):
-                lo[p.axis] = p.lower if lo[p.axis] is None else max(lo[p.axis], p.lower)
-                hi[p.axis] = p.upper if hi[p.axis] is None else min(hi[p.axis], p.upper)
+                bound(p.axis, p.lower, p.upper)
             elif isinstance(p, BoxPrimitive):
                 for j in range(self.dimension):
-                    lo[j] = p.lower[j] if lo[j] is None else max(lo[j], p.lower[j])
-                    hi[j] = p.upper[j] if hi[j] is None else min(hi[j], p.upper[j])
+                    bound(j, p.lower[j], p.upper[j])
             elif isinstance(p, BallPrimitive):
                 c = np.asarray(p.center, dtype=float)
                 for j in range(self.dimension):
-                    l, h = c[j] - p.radius, c[j] + p.radius
-                    lo[j] = l if lo[j] is None else max(lo[j], l)
-                    hi[j] = h if hi[j] is None else min(hi[j], h)
+                    bound(j, c[j] - p.radius, c[j] + p.radius)
             elif isinstance(p, Polygon):
                 V = np.asarray(p.vertices, dtype=float)
                 for j in range(2):
-                    l, h = V[:, j].min(), V[:, j].max()
-                    lo[j] = l if lo[j] is None else max(lo[j], l)
-                    hi[j] = h if hi[j] is None else min(hi[j], h)
+                    bound(j, V[:, j].min(), V[:, j].max())
             elif isinstance(p, HalfSpace):
                 n = np.asarray(p.normal, dtype=float)
                 j = int(np.argmax(np.abs(n)))
                 if np.abs(n[j]) > 0.999999 * np.linalg.norm(n):
                     # axis-aligned half-space bounds one side
+                    side = p.offset / n[j]
                     if n[j] > 0:
-                        lo[j] = p.offset / n[j] if lo[j] is None else max(lo[j], p.offset / n[j])
+                        bound(j, side, None)
                     else:
-                        hi[j] = p.offset / n[j] if hi[j] is None else min(hi[j], p.offset / n[j])
+                        bound(j, None, side)
+            elif isinstance(p, StarlikeBody):
+                bound(0, -1.0, 1.0)
+                bound(1, -1.0, 1.0)
+                bound(2, -0.5, None)
         return lo, hi
 
 
-@dataclass(frozen=True)
-class StarlikeDomain3D:
-    """Star-like 3-D set: the open unit cylinder around the x3 axis with the
-    axis ray {x1 = x2 = 0, x3 >= 1/2} deleted, glued over x3 < 1/2 to the
-    open ball around (0, 0, 1/2) of radius 1.
-
-    Interior boundary distances reduce to two closed forms:
-      x3 >= 1/2 : min(rho, 1 - rho)            rho = sqrt(x1^2 + x2^2)
-      x3 <  1/2 : min(||x - c||, 1 - ||x - c||)  c = (0, 0, 1/2)
-    since the deleted ray's tip is c and the rim circle lies on the sphere.
-    """
-
-    dimension: int = 3
-    norm: NormSpec = EUCLIDEAN
-    name: str = "starlike3d"
-    is_convex = False
-
-    def depth_many(self, X):
-        X, _ = _as_points(X, 3)
-        rho = np.sqrt(X[:, 0] ** 2 + X[:, 1] ** 2)
-        upper = np.minimum(rho, 1.0 - rho)
-        rc = np.sqrt(rho * rho + (X[:, 2] - 0.5) ** 2)
-        lower = np.minimum(rc, 1.0 - rc)
-        return np.where(X[:, 2] >= 0.5, upper, lower)
-
-    def contains_many(self, X):
-        return self.depth_many(X) > 0.0
-
-    def contains(self, x):
-        X, _ = _as_points(x, 3)
-        return bool(self.contains_many(X)[0])
-
-    def boundary_distance_many(self, X):
-        d = self.depth_many(X)
-        if (d <= 0.0).any():
-            raise DomainViolationError("point outside (or on the boundary of) the domain")
-        return d
-
-    def boundary_distance(self, x):
-        X, _ = _as_points(x, 3)
-        return float(self.boundary_distance_many(X)[0])
-
-    def window_hint(self):
-        return [-1.0, -1.0, -0.5], [1.0, 1.0, None]
-
-
-# ---------------------------------------------------------------------------
-# operations on the section of the separable example
-# ---------------------------------------------------------------------------
-
-def l2_example_distance(x, truncation):
-    """Distance from x to {0} union {+-sqrt(2)(1-1/i) e_i : i >= 2}.
-
-    ``x`` is the dense coordinate block of a point supported on finitely
-    many basis vectors; coordinates beyond ``len(x)`` are zero.  The scan
-    runs over i <= truncation and is certified exact by the monotone tail
-    bound sqrt(||x||^2 + 2 (1 - 1/(truncation+1))^2).
-
-    Raises CertificationError when the truncation does not cover the
-    support of x (the tail bound then says nothing about skipped indices).
-    """
-    X, _ = _as_points(x)
-    m = X.shape[1]
-    if truncation < 2:
-        raise InvalidInputError("truncation must be >= 2")
-    nn = float(np.sum(X * X))
-    if nn == 0.0:
-        raise DomainViolationError("point coincides with the removed origin")
-    support = 0
-    nz = np.nonzero(X[0])[0]
-    if nz.size:
-        support = int(nz.max()) + 1  # 1-based basis index
-    if truncation < support:
-        raise CertificationError(
-            f"truncation {truncation} below support index {support}; raise it"
-        )
-    best = nn  # removed origin
-    top = min(truncation, m)
-    for i in range(2, top + 1):
-        c = SQRT2 * (1.0 - 1.0 / i)
-        best = min(best, nn - 2.0 * c * abs(float(X[0, i - 1])) + c * c)
-    if truncation > m:
-        c = SQRT2 * (1.0 - 1.0 / (m + 1))
-        best = min(best, nn + c * c)
-    c_tail = SQRT2 * (1.0 - 1.0 / (truncation + 1))
-    tail_bound = nn + c_tail * c_tail
-    if best > tail_bound + 1e-15:
-        raise CertificationError("tail bound below scanned minimum; raise truncation")
-    if best <= 0.0:
-        raise DomainViolationError("point coincides with a removed axis point")
-    return float(np.sqrt(best))
+_PRIMITIVES = (HalfSpace, BallPrimitive, Slab, BoxPrimitive, Polygon, StarlikeBody)
+_REMOVALS = (RemovedPoint, RemovedSegment, AxisPointFamily)
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +837,11 @@ def prolongation_polygon():
     verts = ((-4.0, 1.0), (-1.0, 1.0), (-1.0, 4.0), (4.0, 4.0),
              (4.0, -4.0), (-1.0, -4.0), (-1.0, -1.0), (-4.0, -1.0))
     return DomainSpec(2, (Polygon(verts),), name="polygon-P")
+
+
+def starlike3d():
+    """The star-like 3-D set (see ``StarlikeBody``)."""
+    return DomainSpec(3, (StarlikeBody(),), name="starlike3d")
 
 
 def l2_section(n):

@@ -1,37 +1,26 @@
 """Domain specification files, result persistence, and run manifests.
 
-The JSON schema mirrors the constructive domain model:
-
-    {
-      "dimension": 2,
-      "norm": {"kind": "euclidean"} | {"kind": "p", "p": 4.0},
-      "primitives": [
-        {"type": "half-space", "normal": [...], "offset": 0.0},
-        {"type": "ball", "center": [...], "radius": 1.0},
-        {"type": "slab", "axis": 1, "lower": -1.0, "upper": 1.0},
-        {"type": "box", "lower": [...], "upper": [...]},
-        {"type": "polygon", "vertices": [[...], ...]}
-      ],
-      "removals": [
-        {"type": "point", "point": [...]},
-        {"type": "segment", "a": [...], "b": [...]},
-        {"type": "axis-point-family", "start_index": 2}
-      ]
-    }
-
-or ``{"preset": "strip"}`` with optional parameters.  Unknown fields are
-rejected; parse and serialize round-trip to the identical document.
-All numeric output uses 17 significant digits (round-trip exact for
-doubles); files are written atomically.
+A spec document is ``{"dimension", "name"?, "norm"?, "primitives",
+"removals"}`` or ``{"preset": "strip"}`` with optional integer parameters.
+``PARTS`` states the format of the parts once: each type tag with its class
+and a reader per field; parsing and serialization both walk it.  The readers
+check only the JSON shape, the classes check the values.  Unknown fields are
+rejected; parse and serialize round-trip to the identical document.  All
+numeric output uses 17 significant digits (round-trip exact for doubles);
+files are written atomically.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import inspect
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,17 +31,18 @@ from .geometry import (
     BoxPrimitive,
     DomainSpec,
     HalfSpace,
+    InvalidInputError,
     NormSpec,
     Polygon,
     QHError,
     RemovedPoint,
     RemovedSegment,
     Slab,
-    StarlikeDomain3D,
     half_plane,
     l2_section,
     prolongation_polygon,
     punctured_space,
+    starlike3d,
     strip,
     symmetric_box,
     unit_ball,
@@ -67,41 +57,118 @@ class SchemaError(QHError):
         super().__init__("; ".join(self.errors))
 
 
+# preset name -> (constructor, the integer parameters it reads)
 PRESETS = {
-    "half-plane": lambda **kw: half_plane(int(kw.get("dimension", 2))),
-    "punctured-plane": lambda **kw: punctured_space(int(kw.get("dimension", 2))),
-    "strip": lambda **kw: strip(2),
-    "slab3d": lambda **kw: strip(3),
-    "unit-ball": lambda **kw: unit_ball(int(kw.get("dimension", 2))),
-    "box": lambda **kw: symmetric_box(int(kw.get("dimension", 2))),
-    "polygon-P": lambda **kw: prolongation_polygon(),
-    "omega-n": lambda **kw: cases.build_omega_n(int(kw["n"])),
-    "l2-section": lambda **kw: l2_section(int(kw["n"])),
-    "starlike3d": lambda **kw: StarlikeDomain3D(),
+    "half-plane": (half_plane, ("dimension",)),
+    "punctured-plane": (punctured_space, ("dimension",)),
+    "strip": (partial(strip, 2), ()),
+    "slab3d": (partial(strip, 3), ()),
+    "unit-ball": (unit_ball, ("dimension",)),
+    "box": (symmetric_box, ("dimension",)),
+    "polygon-P": (prolongation_polygon, ()),
+    "omega-n": (cases.build_omega_n, ("n",)),
+    "l2-section": (l2_section, ("n",)),
+    "starlike3d": (starlike3d, ()),
 }
-
-_PRESET_PARAMS = {"omega-n": {"n"}, "l2-section": {"n"},
-                  "half-plane": {"dimension"}, "punctured-plane": {"dimension"},
-                  "unit-ball": {"dimension"}, "box": {"dimension"}}
 
 
 def _build_preset(name, params):
     """The preset domain ``name`` with its integer parameters."""
+    build, _ = PRESETS[name]
+    for key, p in inspect.signature(build).parameters.items():
+        if key not in params and p.default is inspect.Parameter.empty:
+            raise SchemaError([f"$.{key}: required by preset {name!r}"])
     try:
-        return PRESETS[name](**params)
-    except KeyError as e:
-        raise SchemaError([f"$.{e.args[0]}: required by preset {name!r}"]) from None
+        ints = {k: int(v) for k, v in params.items()}
     except (TypeError, ValueError):
         raise SchemaError([f"$: preset {name!r} takes integer parameters, got {params!r}"]) from None
+    return build(**ints)
 
 
-def _check_vector(v, dim, path, errors):
-    if not isinstance(v, (list, tuple)) or len(v) != dim or not all(
-        isinstance(c, (int, float)) and np.isfinite(c) for c in v
-    ):
-        errors.append(f"{path}: expected a finite vector of length {dim}")
+# ---------------------------------------------------------------------------
+# field readers: the JSON shape of one value, in a domain of dimension dim
+# ---------------------------------------------------------------------------
+
+def _is_number(v):
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
         return False
-    return True
+
+
+def _number(v, dim):
+    if not _is_number(v):
+        raise ValueError("finite number required")
+    return float(v)
+
+
+def _integer(v, dim):
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError("integer required")
+    return v
+
+
+def _string(v, dim):
+    if not isinstance(v, str):
+        raise ValueError("string required")
+    return v
+
+
+def _vector(v, dim):
+    if not isinstance(v, (list, tuple)) or len(v) != dim or not all(map(_is_number, v)):
+        raise ValueError(f"finite vector of length {dim} required")
+    return tuple(v)
+
+
+def _vertices(v, dim):
+    if not isinstance(v, (list, tuple)) or len(v) < 3:
+        raise ValueError(">= 3 planar vertices required")
+    return tuple(_vector(u, 2) for u in v)
+
+
+# section -> type tag -> (class, {field: reader})
+PARTS = {
+    "primitives": {
+        "half-space": (HalfSpace, {"normal": _vector, "offset": _number}),
+        "ball": (BallPrimitive, {"center": _vector, "radius": _number}),
+        "slab": (Slab, {"axis": _integer, "lower": _number, "upper": _number}),
+        "box": (BoxPrimitive, {"lower": _vector, "upper": _vector}),
+        "polygon": (Polygon, {"vertices": _vertices}),
+    },
+    "removals": {
+        "point": (RemovedPoint, {"point": _vector}),
+        "segment": (RemovedSegment, {"a": _vector, "b": _vector}),
+        "axis-point-family": (AxisPointFamily, {"start_index": _integer}),
+    },
+}
+_NORM_FIELDS = {"kind": _string, "p": _number}
+_TAGS = {cls: (tag, fields) for table in PARTS.values()
+         for tag, (cls, fields) in table.items()}
+
+
+def _read(entry, cls, fields, dim, path, errors):
+    """``cls`` built from the JSON object ``entry`` through its field
+    readers, or None with the problems added to ``errors``."""
+    if set(entry) - set(fields):
+        errors.append(f"{path}: unknown fields")
+        return None
+    before = len(errors)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in entry:
+            try:
+                kwargs[f.name] = fields[f.name](entry[f.name], dim)
+            except ValueError as e:
+                errors.append(f"{path}.{f.name}: {e}")
+        elif f.default is dataclasses.MISSING:
+            errors.append(f"{path}.{f.name}: required")
+    if len(errors) > before:
+        return None
+    try:
+        return cls(**kwargs)
+    except InvalidInputError as e:  # the message starts with the field
+        errors.append(f"{path}.{e}")
+        return None
 
 
 def parse_domain_spec(doc):
@@ -116,182 +183,80 @@ def parse_domain_spec(doc):
             raise SchemaError([f"$: invalid JSON ({e.msg} at {e.pos})"])
     if not isinstance(doc, dict):
         raise SchemaError(["$: expected an object"])
-    errors = []
     if "preset" in doc:
         name = doc["preset"]
-        allowed = {"preset"} | _PRESET_PARAMS.get(name, set())
-        unknown = set(doc) - allowed
+        known = isinstance(name, str) and name in PRESETS
+        unknown = set(doc) - {"preset", *(PRESETS[name][1] if known else ())}
         if unknown:
             raise SchemaError([f"$.{k}: unknown field" for k in sorted(unknown)])
-        if name not in PRESETS:
+        if not known:
             raise SchemaError([f"$.preset: unknown preset {name!r}"])
         return _build_preset(name, {k: v for k, v in doc.items() if k != "preset"})
 
-    allowed = {"dimension", "norm", "primitives", "removals", "name"}
-    for k in sorted(set(doc) - allowed):
-        errors.append(f"$.{k}: unknown field")
+    errors = [f"$.{k}: unknown field" for k in sorted(
+        set(doc) - {"dimension", "norm", "primitives", "removals", "name"})]
     dim = doc.get("dimension")
-    if not isinstance(dim, int) or dim < 2:
-        errors.append("$.dimension: integer >= 2 required")
-        raise SchemaError(errors)
-
-    norm = NormSpec()
-    nd = doc.get("norm", {"kind": "euclidean"})
-    if not isinstance(nd, dict) or set(nd) - {"kind", "p"}:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
+        raise SchemaError(errors + ["$.dimension: integer >= 2 required"])
+    nd = doc.get("norm", {})
+    if not isinstance(nd, dict):
         errors.append("$.norm: expected {kind, p?}")
-    else:
-        kind = nd.get("kind", "euclidean")
-        if kind == "euclidean":
-            if "p" in nd:
-                errors.append("$.norm.p: not allowed for the euclidean norm")
-        elif kind == "p":
-            p = nd.get("p")
-            if not isinstance(p, (int, float)) or not np.isfinite(p) or p <= 1:
-                errors.append("$.norm.p: exponent must be finite and > 1")
-            else:
-                norm = NormSpec("p", float(p))
-        else:
-            errors.append(f"$.norm.kind: unknown kind {kind!r}")
-
-    prims = []
-    for i, pd in enumerate(doc.get("primitives", [])):
-        path = f"$.primitives[{i}]"
-        if not isinstance(pd, dict) or "type" not in pd:
-            errors.append(f"{path}: expected an object with a type")
+        nd = {}
+    norm = _read(nd, NormSpec, _NORM_FIELDS, dim, "$.norm", errors)
+    parts = {}
+    for section, table in PARTS.items():
+        entries = doc.get(section, [])
+        if not isinstance(entries, list):
+            errors.append(f"$.{section}: list required")
             continue
-        typ = pd["type"]
-        if typ == "half-space":
-            if set(pd) - {"type", "normal", "offset"}:
-                errors.append(f"{path}: unknown fields")
-            elif _check_vector(pd.get("normal"), dim, f"{path}.normal", errors):
-                if not isinstance(pd.get("offset"), (int, float)):
-                    errors.append(f"{path}.offset: number required")
-                else:
-                    prims.append(HalfSpace(tuple(pd["normal"]), float(pd["offset"])))
-        elif typ == "ball":
-            if set(pd) - {"type", "center", "radius"}:
-                errors.append(f"{path}: unknown fields")
-            elif _check_vector(pd.get("center"), dim, f"{path}.center", errors):
-                rr = pd.get("radius")
-                if not isinstance(rr, (int, float)) or rr <= 0:
-                    errors.append(f"{path}.radius: positive number required")
-                else:
-                    prims.append(BallPrimitive(tuple(pd["center"]), float(rr)))
-        elif typ == "slab":
-            if set(pd) - {"type", "axis", "lower", "upper"}:
-                errors.append(f"{path}: unknown fields")
-            else:
-                ax = pd.get("axis")
-                lo, hi = pd.get("lower"), pd.get("upper")
-                if not isinstance(ax, int) or not 0 <= ax < dim:
-                    errors.append(f"{path}.axis: index in [0, {dim}) required")
-                elif not all(isinstance(t, (int, float)) for t in (lo, hi)) or lo >= hi:
-                    errors.append(f"{path}: lower < upper required")
-                else:
-                    prims.append(Slab(ax, float(lo), float(hi)))
-        elif typ == "box":
-            if set(pd) - {"type", "lower", "upper"}:
-                errors.append(f"{path}: unknown fields")
-            elif _check_vector(pd.get("lower"), dim, f"{path}.lower", errors) and \
-                    _check_vector(pd.get("upper"), dim, f"{path}.upper", errors):
-                lo, hi = pd["lower"], pd["upper"]
-                if not all(a < b for a, b in zip(lo, hi)):
-                    errors.append(f"{path}: lower < upper required per axis")
-                else:
-                    prims.append(BoxPrimitive(tuple(lo), tuple(hi)))
-        elif typ == "polygon":
-            if dim != 2:
-                errors.append(f"{path}: polygons are planar only")
-            elif set(pd) - {"type", "vertices"}:
-                errors.append(f"{path}: unknown fields")
-            else:
-                vs = pd.get("vertices")
-                if not isinstance(vs, list) or len(vs) < 3 or not all(
-                    _check_vector(v, 2, f"{path}.vertices[{j}]", errors)
-                    for j, v in enumerate(vs)
-                ):
-                    errors.append(f"{path}.vertices: >= 3 planar vertices required")
-                else:
-                    prims.append(Polygon(tuple(tuple(v) for v in vs)))
-        else:
-            errors.append(f"{path}.type: unknown primitive {typ!r}")
-
-    rems = []
-    for i, rd in enumerate(doc.get("removals", [])):
-        path = f"$.removals[{i}]"
-        if not isinstance(rd, dict) or "type" not in rd:
-            errors.append(f"{path}: expected an object with a type")
-            continue
-        typ = rd["type"]
-        if typ == "point":
-            if set(rd) - {"type", "point"}:
-                errors.append(f"{path}: unknown fields")
-            elif _check_vector(rd.get("point"), dim, f"{path}.point", errors):
-                rems.append(RemovedPoint(tuple(rd["point"])))
-        elif typ == "segment":
-            if set(rd) - {"type", "a", "b"}:
-                errors.append(f"{path}: unknown fields")
-            elif _check_vector(rd.get("a"), dim, f"{path}.a", errors) and \
-                    _check_vector(rd.get("b"), dim, f"{path}.b", errors):
-                rems.append(RemovedSegment(tuple(rd["a"]), tuple(rd["b"])))
-        elif typ == "axis-point-family":
-            if set(rd) - {"type", "start_index"}:
-                errors.append(f"{path}: unknown fields")
-            else:
-                si = rd.get("start_index", 2)
-                if not isinstance(si, int) or si < 2:
-                    errors.append(f"{path}.start_index: integer >= 2 required")
-                else:
-                    rems.append(AxisPointFamily(si))
-        else:
-            errors.append(f"{path}.type: unknown removal {typ!r}")
-
+        parts[section] = []
+        for i, entry in enumerate(entries):
+            path = f"$.{section}[{i}]"
+            if not isinstance(entry, dict) or "type" not in entry:
+                errors.append(f"{path}: expected an object with a type")
+                continue
+            tag = entry["type"]
+            if not isinstance(tag, str) or tag not in table:
+                errors.append(f"{path}.type: unknown {section[:-1]} {tag!r}")
+                continue
+            cls, fields = table[tag]
+            parts[section].append(_read({k: v for k, v in entry.items() if k != "type"},
+                                        cls, fields, dim, path, errors))
     if errors:
         raise SchemaError(errors)
-    if not prims and not rems:
+    if not parts["primitives"] and not parts["removals"]:
         raise SchemaError(["$: a domain needs at least one primitive or removal"])
-    return DomainSpec(dim, tuple(prims), tuple(rems), norm=norm,
-                      name=doc.get("name", ""))
+    try:
+        return DomainSpec(dim, tuple(parts["primitives"]), tuple(parts["removals"]),
+                          norm=norm, name=doc.get("name", ""))
+    except InvalidInputError as e:  # the message starts with the field
+        raise SchemaError([f"$.{e}"]) from None
+
+
+def _json_value(v):
+    return [_json_value(x) for x in v] if isinstance(v, tuple) else v
+
+
+def _fields_doc(obj, fields):
+    """The JSON fields of a part or norm: tuples as lists, None left out."""
+    return {k: _json_value(getattr(obj, k)) for k in fields if getattr(obj, k) is not None}
 
 
 def domain_to_doc(domain):
     """Serialize a domain back to its spec document (inverse of parsing)."""
-    if isinstance(domain, StarlikeDomain3D):
+    if domain == starlike3d():
         return {"preset": "starlike3d"}
     doc = {"dimension": domain.dimension}
     if domain.name:
         doc["name"] = domain.name
-    if domain.norm.kind == "p":
-        doc["norm"] = {"kind": "p", "p": domain.norm.p}
-    else:
-        doc["norm"] = {"kind": "euclidean"}
-    prims = []
-    for p in domain.primitives:
-        if isinstance(p, HalfSpace):
-            prims.append({"type": "half-space", "normal": list(p.normal),
-                          "offset": p.offset})
-        elif isinstance(p, BallPrimitive):
-            prims.append({"type": "ball", "center": list(p.center),
-                          "radius": p.radius})
-        elif isinstance(p, Slab):
-            prims.append({"type": "slab", "axis": p.axis,
-                          "lower": p.lower, "upper": p.upper})
-        elif isinstance(p, BoxPrimitive):
-            prims.append({"type": "box", "lower": list(p.lower),
-                          "upper": list(p.upper)})
-        elif isinstance(p, Polygon):
-            prims.append({"type": "polygon",
-                          "vertices": [list(v) for v in p.vertices]})
-    rems = []
-    for r in domain.removals:
-        if isinstance(r, RemovedPoint):
-            rems.append({"type": "point", "point": list(r.point)})
-        elif isinstance(r, RemovedSegment):
-            rems.append({"type": "segment", "a": list(r.a), "b": list(r.b)})
-        elif isinstance(r, AxisPointFamily):
-            rems.append({"type": "axis-point-family", "start_index": r.start_index})
-    doc["primitives"] = prims
-    doc["removals"] = rems
+    doc["norm"] = _fields_doc(domain.norm, _NORM_FIELDS)
+    for section in PARTS:
+        doc[section] = []
+        for part in getattr(domain, section):
+            if type(part) not in _TAGS:
+                raise InvalidInputError(f"{type(part).__name__} has no spec-file form")
+            tag, fields = _TAGS[type(part)]
+            doc[section].append({"type": tag, **_fields_doc(part, fields)})
     return doc
 
 
@@ -306,7 +271,7 @@ def resolve_domain(arg):
         return parse_domain_spec(text)
     name, suffix, param = arg.partition(":")
     if name in PRESETS:
-        if suffix and "n" not in _PRESET_PARAMS.get(name, ()):
+        if suffix and "n" not in PRESETS[name][1]:
             raise SchemaError([f"$.domain: preset {name!r} takes no ':n' suffix, got {arg!r}"])
         return _build_preset(name, {"n": param} if param else {})
     raise SchemaError([f"$.domain: unknown preset or file {arg!r}"])

@@ -584,7 +584,7 @@ def refine_paths(domain, inits, s: SolverConfig = DEFAULT_SOLVER):
             except QHError as err:
                 out[i] = err
                 continue
-            log_lower_bound(getattr(domain, "name", "") or "domain", length, length - gap)
+            log_lower_bound(domain.name or "domain", length, length - gap)
             out[i] = GeodesicResult(
                 path=path, qh_length=length, lower_bound_gap=float(gap),
                 converged=bool(converged), iterations=int(iterations[j]),
@@ -802,8 +802,9 @@ def qh_distance(domain, x, y, s: SolverConfig = DEFAULT_SOLVER):
 _MULTIPLICITY_SEEDS = 4
 
 
-def geodesic_multiplicity(domain, x, y, s: SolverConfig = DEFAULT_SOLVER):
-    """All geodesics between x and y found from up to four distinct seeds.
+def geodesic_multiplicity(domain, x, y):
+    """All geodesics between x and y found from up to four distinct seeds,
+    each solved at ``DEFAULT_SOLVER``.
 
     Seeding: the grid path, then reruns with edges near previous paths
     penalized (distinct corridors surface as cheapest alternatives); on a
@@ -826,7 +827,7 @@ def geodesic_multiplicity(domain, x, y, s: SolverConfig = DEFAULT_SOLVER):
             if domain.contains_many(cand).all():
                 seeds.append(Polyline(cand))
     else:
-        graph = _GridGraph(domain, x, y, s.grid_resolution)
+        graph = _GridGraph(domain, x, y, DEFAULT_SOLVER.grid_resolution)
         first, _ = graph.shortest_path()
         seeds = [first]
         radius = max(2.0 * graph.h, 0.12 * float(np.linalg.norm(x - y)))
@@ -838,7 +839,7 @@ def geodesic_multiplicity(domain, x, y, s: SolverConfig = DEFAULT_SOLVER):
                 break
             seeds.append(alt)
     # a seed that stalls or leaves the domain is skipped; any other error is raised
-    solved = [r for r in refine_paths(domain, seeds, s)
+    solved = [r for r in refine_paths(domain, seeds, DEFAULT_SOLVER)
               if not isinstance(r, (SolverStalledError, DomainViolationError))]
     results = [r for r in _raise_first(solved) if r.converged]
     if not results:

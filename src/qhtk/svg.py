@@ -62,7 +62,7 @@ def _path_d(mapped, close=False):
 def _domain_outline(domain, frame, window):
     out = []
     (x0, x1), (y0, y1) = window
-    for p in getattr(domain, "primitives", ()):
+    for p in domain.primitives:
         if isinstance(p, BoxPrimitive):
             box = np.array([
                 [p.lower[0], p.lower[1]], [p.upper[0], p.lower[1]],
@@ -94,7 +94,7 @@ def _domain_outline(domain, frame, window):
         elif isinstance(p, Polygon):
             out.append(f'<path d="{_path_d(frame.map(np.asarray(p.vertices)), close=True)}" '
                        f'fill="none" stroke="#444" stroke-width="1.4"/>')
-    for r in getattr(domain, "removals", ()):
+    for r in domain.removals:
         if isinstance(r, RemovedPoint):
             c = frame.map(np.array([r.point]))[0]
             out.append(f'<circle cx="{_fmt(c[0])}" cy="{_fmt(c[1])}" r="3" '
@@ -111,7 +111,7 @@ def render_svg(domain, window, polylines=(), contours=(), points=(), labels=()):
 
     2-D only; slice higher-dimensional artifacts before rendering.
     """
-    if getattr(domain, "dimension", 2) != 2:
+    if domain.dimension != 2:
         raise RenderError("3-D artifacts need a slice selection before rendering")
     frame = _Frame(window)
     body = [

@@ -9,7 +9,6 @@ from qhtk.geometry import (
     AxisPointFamily,
     BallPrimitive,
     BoxPrimitive,
-    CertificationError,
     DomainSpec,
     DomainViolationError,
     EUCLIDEAN,
@@ -21,16 +20,15 @@ from qhtk.geometry import (
     RemovedPoint,
     RemovedSegment,
     Slab,
-    StarlikeDomain3D,
     _resample_paths,
     _SegmentSet,
     certify_segment,
     half_plane,
-    l2_example_distance,
     l2_section,
     norm_eval,
     prolongation_polygon,
     punctured_space,
+    starlike3d,
     strip,
     symmetric_box,
     unit_ball,
@@ -446,7 +444,7 @@ def test_half_space_rejects_zero_normal():
 def test_l2_distance_e1():
     x = np.zeros(6)
     x[0] = 1.0
-    assert l2_example_distance(x, truncation=100) == pytest.approx(1.0, abs=1e-15)
+    assert l2_section(5).boundary_distance(x) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_l2_distance_adjacent_point():
@@ -456,11 +454,25 @@ def test_l2_distance_adjacent_point():
         x = np.zeros(4)
         x[1] = np.sqrt(2.0) * 0.5
         x[0] = eps
-        assert l2_example_distance(x, truncation=50) == pytest.approx(eps, rel=rel)
+        assert l2_section(3).boundary_distance(x) == pytest.approx(eps, rel=rel)
+
+
+def _raw_scan(x, start_index=2, removed_origin=True):
+    """Distance from x to the family {+-sqrt(2)(1 - 1/i) e_i : i >= start_index}
+    (and the origin), scanned over a million indices."""
+    nn = float(x @ x)
+    idx = np.arange(start_index, 10**6 + 1, dtype=float)
+    c = np.sqrt(2.0) * (1 - 1 / idx)
+    coord = np.zeros_like(idx)
+    support = np.abs(x[start_index - 1:])
+    coord[:support.size] = support
+    best = float((nn - 2 * c * coord + c * c).min())
+    return np.sqrt(min(best, nn) if removed_origin else best)
 
 
 def test_l2_distance_matches_raw_scan():
-    # certified value equals an uncertified scan over a million indices
+    # the solver's oracle equals a scan over a million indices
+    dom = l2_section(8)
     rng = np.random.default_rng(2)
     for _ in range(12):
         x = np.zeros(9)
@@ -469,24 +481,25 @@ def test_l2_distance_matches_raw_scan():
         x[i] = rng.uniform(-1.2, 1.2)
         if np.linalg.norm(x) < 1e-9:
             continue
-        got = l2_example_distance(x, truncation=10**4)
-        nn = float(x @ x)
-        best = nn
-        idx = np.arange(2, 10**6 + 1, dtype=float)
-        c = np.sqrt(2.0) * (1 - 1 / idx)
-        coord = np.zeros_like(idx)
-        coord[: x.size - 1] = np.abs(x[1:])
-        best = min(best, float((nn - 2 * c * coord + c * c).min()))
-        assert got == pytest.approx(np.sqrt(best), abs=1e-12)
+        assert dom.boundary_distance(x) == pytest.approx(_raw_scan(x), abs=1e-12)
 
 
-def test_l2_truncation_certificate():
-    x = np.zeros(9)
-    x[0] = 0.3
-    x[8] = 0.5  # support index 9
-    with pytest.raises(CertificationError):
-        l2_example_distance(x, truncation=5)
-    assert l2_example_distance(x, truncation=9) > 0
+@pytest.mark.parametrize("start_index", [2, 3, 5, 9])
+@pytest.mark.parametrize("dimension", [3, 5])
+def test_axis_family_tail_matches_raw_scan(dimension, start_index):
+    # the tail term sits at index max(m + 1, start_index), never below the family
+    dom = DomainSpec(dimension, (), (AxisPointFamily(start_index),))
+    X = np.random.default_rng(dimension * start_index).uniform(-1.3, 1.3, (20, dimension))
+    X[0] = 0.0
+    X[0, 0] = 0.3
+    for x in X:
+        assert dom.boundary_distance(x) == pytest.approx(
+            _raw_scan(x, start_index, removed_origin=False), abs=1e-12)
+
+
+def test_axis_family_tail_above_the_support():
+    dom = DomainSpec(3, (), (AxisPointFamily(5),))
+    assert dom.boundary_distance([0.3, 0.0, 0.0]) == pytest.approx(np.sqrt(0.09 + 1.28), abs=1e-15)
 
 
 def test_l2_midpoint_of_gamma3():
@@ -501,7 +514,7 @@ def test_l2_midpoint_of_gamma3():
 # --- starlike domain oracle vs brute force -----------------------------------
 
 def test_starlike_distance_brute_force():
-    dom = StarlikeDomain3D()
+    dom = starlike3d()
     rng = np.random.default_rng(7)
     # dense boundary sampling: cylinder wall, deleted ray, sphere cap
     th = np.linspace(0, 2 * np.pi, 240, endpoint=False)

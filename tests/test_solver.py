@@ -10,11 +10,11 @@ from qhtk.geometry import (
     NormSpec,
     Polyline,
     QHError,
-    StarlikeDomain3D,
     certify_segment,
     half_plane,
     prolongation_polygon,
     punctured_space,
+    starlike3d,
     strip,
     symmetric_box,
     unit_ball,
@@ -540,7 +540,7 @@ def test_refine_paths_matches_one_seed_solves(case):
         domain, s = build_omega_n(3), OMEGA_SOLVER[3]
         seeds = [sign_pattern_seed(3, signs) for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
     else:
-        domain = StarlikeDomain3D()
+        domain = starlike3d()
         s = SolverConfig(vertex_budget=65, refinement=RefinementConfig(
             max_iterations=80, gradient_tol=5e-4))
         seeds = _starlike_seeds()
