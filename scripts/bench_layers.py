@@ -3,9 +3,14 @@
 
 For each preset, ``DomainSpec.depth_many`` (``depth_many`` of the star-like
 set) is timed on N = 49 points, the median point count of a single-path
-solver call, and on N = 100,000 points, a large field batch.  Points are
-drawn uniformly from the domain's window (unbounded sides at +-3), so
-some lie outside; the oracle does the same work there.
+solver call; on N = 2,632, the nodes of one 49-vertex gradient; on
+N = 33,264, one relax parity of a 49-vertex path; and on N = 100,000
+points, a large field batch.  Points are drawn uniformly from the
+domain's window (unbounded sides at +-3), so some lie outside; the oracle
+does the same work there.  Next to each of these rows,
+``depth_many_minflt_per_call`` is the process's minor page faults per
+call (``getrusage``), the least over rounds: a temporary that glibc hands
+back to the system on free is faulted in again on every call.
 
 The fixed-node segment kernel ``_segment_values`` is timed per segment on
 the planar presets at n = 48 (one 49-vertex path), 9,600 (600 paths of 17
@@ -81,6 +86,7 @@ import json
 import os
 import platform
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -100,7 +106,7 @@ from qhtk.solver import DEFAULT_SOLVER, RefinementConfig
 
 PRESETS = ("half-plane", "strip", "slab3d", "unit-ball", "box", "punctured-plane",
            "polygon-P", "omega-n:3", "omega-n:5", "l2-section:6", "starlike3d")
-SIZES = (49, 100_000)
+SIZES = (49, 2_632, 33_264, 100_000)
 SEGMENTS = (48, 9_600, 168_000)
 PATHS = ((1, 49), (600, 17))  # (paths, vertices per path)
 VERDICT_REPEAT = 3  # fresh interpreters per verdict; the fastest is kept
@@ -328,10 +334,13 @@ def calls_per_sample(fn):
 
 
 def time_per_call(fn, calls):
+    """Seconds and minor page faults per call."""
+    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     for _ in range(calls):
         fn()
-    return (time.perf_counter() - t0) / calls
+    t = time.perf_counter() - t0
+    return t / calls, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0) / calls
 
 
 def main():
@@ -371,14 +380,18 @@ def main():
         for size, key, fn, div in layer_calls(name, domain, rng):
             cases.append((name, size, key, fn, calls_per_sample(fn), div))
     # rounds sweep every case, so a slow spell of the machine hits all alike
-    best = {}
+    best, faults = {}, {}
     for _ in range(args.repeat):
         for name, size, key, fn, calls, _ in cases:
-            t = time_per_call(fn, calls)
+            t, f = time_per_call(fn, calls)
             best[name, size, key] = min(best.get((name, size, key), np.inf), t)
+            faults[name, size, key] = min(faults.get((name, size, key), np.inf), f)
     rows = {name: {} for name in PRESETS}
     for name, size, key, _, _, div in cases:
-        rows[name].setdefault(size, {})[key] = float(f"{1e9 * best[name, size, key] / div:.4g}")
+        row = rows[name].setdefault(size, {})
+        row[key] = float(f"{1e9 * best[name, size, key] / div:.4g}")
+        if key == "depth_many_ns_per_point":
+            row["depth_many_minflt_per_call"] = float(f"{faults[name, size, key]:.4g}")
     for name in PRESETS:
         print(name, rows[name])
     run = {"repeat": args.repeat, "machine": machine_facts(), "rows": rows}

@@ -70,6 +70,14 @@ def _numbers(text):
     return v
 
 
+def _positive(text):
+    """One finite positive number, for argparse ``type=``: a level or a resolution."""
+    v = _numbers(text)
+    if v.size != 1 or not v[0] > 0.0:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return float(v[0])
+
+
 def _direction(text):
     v = _numbers(text)
     if not v.any():
@@ -176,7 +184,10 @@ def cmd_ball(args):
     center = args.center
     window = args.window
     if window is None:
-        reach = domain.boundary_distance(center) * float(np.expm1(args.r))
+        # the ball can reach d(c)(e^r - 1) exactly (half-plane, punctured
+        # plane), so two grid cells of margin close its contour
+        reach = (domain.boundary_distance(center) * float(np.expm1(args.r))
+                 + 2.0 / args.field_resolution)
         window = _clipped_window(domain, center, reach)
     field = distance_field(domain, center, window, args.field_resolution)
     contour = ball_contour(field, args.r)
@@ -442,16 +453,16 @@ def build_parser():
     sp = sub.add_parser("ball")
     sp.add_argument("--domain", required=True)
     sp.add_argument("--center", type=_numbers, required=True)
-    sp.add_argument("--r", type=float, required=True)
+    sp.add_argument("--r", type=_positive, required=True)
     sp.add_argument("--window", type=_window)
-    sp.add_argument("--field-resolution", type=float, default=24.0)
+    sp.add_argument("--field-resolution", type=_positive, default=24.0)
     sp.add_argument("--svg", action="store_true")
     common(sp)
 
     sp = sub.add_parser("smoothcheck")
     sp.add_argument("--domain", default="strip")
     sp.add_argument("--center", type=_numbers, default="0,0")
-    sp.add_argument("--r", type=float, default=1.0)
+    sp.add_argument("--r", type=_positive, default=1.0)
     sp.add_argument("--probes", type=int, default=8)
     sp.add_argument("--threshold", type=float, default=0.1)
     common(sp)
@@ -460,16 +471,16 @@ def build_parser():
     sp.add_argument("--domain", default="strip")
     sp.add_argument("--center", type=_numbers, default="0,0")
     sp.add_argument("--direction", type=_direction, default="1,0")
-    sp.add_argument("--r", type=float, default=1.0)
+    sp.add_argument("--r", type=_positive, default=1.0)
     sp.add_argument("--tschedule", type=_numbers, default="0.5,0.65,0.8,0.9")
-    sp.add_argument("--field-resolution", type=float, default=40.0)
+    sp.add_argument("--field-resolution", type=_positive, default=40.0)
     common(sp)
 
     sp = sub.add_parser("cusp")
     sp.add_argument("--domain", default="strip")
     sp.add_argument("--x", type=_numbers, default="0,0")
     sp.add_argument("--direction", type=_direction, default="1,0")
-    sp.add_argument("--r", type=float, default=1.0)
+    sp.add_argument("--r", type=_positive, default=1.0)
     sp.add_argument("--z", type=_numbers, default="0.3,0.5,0.7")
     sp.add_argument("--samples", type=int, default=40)
     common(sp)
@@ -478,7 +489,7 @@ def build_parser():
     sp.add_argument("--domain", default="box")
     sp.add_argument("--what", choices=("minkowski", "triangle", "hausdorff", "modulus"),
                     default="minkowski")
-    sp.add_argument("--r", type=float, default=2.0)
+    sp.add_argument("--r", type=_positive, default=2.0)
     sp.add_argument("--radii", type=_numbers, default="1,2,3,4")
     sp.add_argument("--directions", type=int, default=64)
     sp.add_argument("--samples", type=int, default=200)

@@ -396,18 +396,102 @@ def _ball_depth(X, center, radius, norm):
     return radius - norm.eval(X - center)
 
 
+def _segment_groups(A, D, DD):
+    """Sort Euclidean segments into the cheapest forms that keep the bits.
+
+    Points and segments along the first or second axis form one group in
+    which each row's along-axis coordinate comes first and the others
+    follow in order, so the squared terms still add up in coordinate
+    order.  Only that first coordinate is projected: the others would
+    move by t * 0.  Points come first and are not projected at all, since
+    b - a = 0 moves nothing.  Every other segment, one along a later axis
+    among them, keeps the full projection in coordinate order.
+
+    A group is (blocks, skip, D, DD).  A block is (lo, hi, order, A): a
+    run of rows, the coordinate order of its points (a slice, so a view,
+    for the identity and the planar swap) and its start points in that
+    order, (dim, hi - lo, 1).  The rows from ``skip`` on are projected:
+    D holds their projected coordinates of b - a and DD their guarded
+    |b - a|^2, each (K - skip, 1).  Nothing is projected when no segment
+    has length.
+    """
+    dim = A.shape[1]
+    nonzero = D != 0.0
+    along = nonzero.argmax(axis=1)  # 0 for a point
+    point = ~nonzero.any(axis=1)
+    axial = (nonzero.sum(axis=1) <= 1) & (along <= 1)
+    guard = np.maximum(DD, 1e-300)
+    length = bool(DD.any())
+
+    def group(parts, projected, skip=0):
+        parts = [(rows, order) for rows, order in parts if rows.size]
+        if not parts:
+            return None
+        blocks, lo = [], 0
+        for rows, order in parts:
+            index = (slice(None) if order == tuple(range(dim))
+                     else slice(None, None, -1) if order == (1, 0) else list(order))
+            blocks.append((lo, lo + rows.size, index, A[np.ix_(rows, order)].T[:, :, None]))
+            lo += rows.size
+        rows = np.concatenate([rows for rows, _ in parts])[skip:]
+        if not (length and rows.size):
+            return tuple(blocks), skip, (), None
+        Dp = np.concatenate([D[np.ix_(rows, order[:projected])] for rows, order in parts])
+        return tuple(blocks), skip, tuple(d[:, None] for d in Dp[skip:].T), guard[rows, None]
+
+    def first(j):
+        return (j,) + tuple(i for i in range(dim) if i != j)
+
+    groups = (group([(np.concatenate([np.flatnonzero(point),
+                                      np.flatnonzero(axial & ~point & (along == 0))]), first(0)),
+                     (np.flatnonzero(axial & (along == 1)), first(1))], 1, int(point.sum())),
+              group([(np.flatnonzero(~axial), tuple(range(dim)))], dim))
+    return tuple(g for g in groups if g is not None)
+
+
+def _nearest_squares(P, blocks, skip, D, DD):
+    """Squared distance from each column of P (dim, b) to the nearest
+    segment of one group: the clamped projection, one (K, b) array per
+    coordinate."""
+    if len(blocks) == 1:
+        (_, _, order, A), = blocks
+        G = P[order, None, :] - A
+    else:
+        G = np.empty((P.shape[0], blocks[-1][1], P.shape[1]))
+        for lo, hi, order, A in blocks:
+            np.subtract(P[order, None, :], A, out=G[:, lo:hi])
+    if D:
+        H = G[:, skip:]  # the rows that are projected
+        t = H[0] * D[0]
+        w = np.empty_like(t) if len(D) > 1 else None
+        for h, d in zip(H[1:], D[1:]):
+            t += np.multiply(h, d, out=w)
+        t /= DD
+        np.maximum(t, 0.0, out=t)
+        np.minimum(t, 1.0, out=t)
+        for h, d in zip(H[1:], D[1:]):
+            h -= np.multiply(t, d, out=w)
+        t *= D[0]  # the last use of t
+        H[0] -= t
+    G *= G
+    s = G[0]
+    for g in G[1:]:  # in coordinate order, in place
+        s += g
+    return s.min(axis=0)
+
+
 class _SegmentSet:
     """Closed segments [a, b] as one kernel: the edges of non-convex polygons,
     removed segments, and removed points as zero-length segments.
 
     The value is the distance to the nearest segment, negated outside any of
     the polygons (even-odd crossing rule).  Euclidean distances use the
-    clamped projection on (dim, K, block) arrays; p-norms keep the exact
-    closed forms.  Points go through in blocks so the temporaries stay in
-    cache.
+    clamped projection on one (K, block) array per coordinate, in the groups
+    of ``_segment_groups``; p-norms keep the exact closed forms.  Points go
+    through in blocks so the temporaries stay in cache.
     """
 
-    BLOCK = 1 << 15  # elements of one (K, block) temporary, so the (dim, K, block) ones fit in L2
+    BLOCK = 1 << 15  # elements of one (K, block) temporary, so the temporaries fit in L2
 
     def __init__(self, starts, ends, polygon_sizes, norm):
         A = np.asarray(starts, dtype=float)
@@ -415,24 +499,32 @@ class _SegmentSet:
         D = B - A
         DD = (D * D).sum(axis=1)
         self.norm = norm
-        self.A = A.T[:, :, None]  # (dim, K, 1)
-        self.D = D.T[:, :, None] if DD.any() else None
-        self.DD = np.maximum(DD, 1e-300)[:, None]
         self.block = max(16, self.BLOCK // A.shape[0])
-        if norm.kind != "euclidean":
+        if norm.kind == "euclidean":
+            self.groups = _segment_groups(A, D, DD)
+        else:
             has_length = DD > 0.0
             self.points = A[~has_length, None, :]
             self.segments = A[has_length, None, :], D[has_length, None, :]
         # the crossing table holds the polygon edges that are not horizontal:
-        # for a horizontal one (y < y1) != (y2 > y) is always False
+        # for a horizontal one (y < y1) != (y2 > y) is always False.  Vertical
+        # edges come first, with their abscissa (y - y1) * 0 / dy + x1 = x1;
+        # each polygon owns a run of vertical rows and a run of oblique ones.
         bounds = np.cumsum([0] + list(polygon_sizes))
         E = bounds[-1]
-        keep = D[:E, 1] != 0.0
-        bounds = np.concatenate([[0], np.cumsum(keep)])[bounds]
-        self.polygons = tuple(zip(bounds[:-1], bounds[1:]))
+        vertical = (D[:E, 0] == 0.0) & (D[:E, 1] != 0.0)
+        oblique = (D[:E, 0] != 0.0) & (D[:E, 1] != 0.0)
+        v_at = np.concatenate([[0], np.cumsum(vertical)])[bounds].tolist()
+        o_at = (np.concatenate([[0], np.cumsum(oblique)])[bounds] + v_at[-1]).tolist()
+        self.polygons = tuple(
+            tuple((lo, hi) for lo, hi in ((v_at[i], v_at[i + 1]), (o_at[i], o_at[i + 1]))
+                  if hi > lo) or ((0, 0),)
+            for i in range(len(polygon_sizes)))
         if self.polygons:
-            self.crossing = tuple(c[:E][keep, None] for c in (
-                A[:, 1], B[:, 1], A[:, 0], D[:, 0], D[:, 1]))
+            rows = np.concatenate([np.flatnonzero(vertical), np.flatnonzero(oblique)])
+            self.crossing = A[rows, 1, None], B[rows, 1, None]
+            self.vertical_x1 = A[:E][vertical, 0, None]
+            self.oblique = tuple(c[:E][oblique, None] for c in (A[:, 0], D[:, 0], D[:, 1]))
 
     def __call__(self, X):
         n, b = X.shape[0], self.block
@@ -451,15 +543,11 @@ class _SegmentSet:
         return dist
 
     def _euclidean(self, P):
-        G = P[:, None, :] - self.A  # (dim, K, b)
-        if self.D is not None:  # some segment has length
-            t = np.add.reduce(G * self.D, axis=0)
-            t /= self.DD
-            np.maximum(t, 0.0, out=t)
-            np.minimum(t, 1.0, out=t)
-            G -= t * self.D
-        G *= G
-        return np.sqrt(np.add.reduce(G, axis=0).min(axis=0))
+        first, *rest = self.groups
+        sq = _nearest_squares(P, *first)
+        for group in rest:
+            np.minimum(sq, _nearest_squares(P, *group), out=sq)
+        return np.sqrt(sq, out=sq)
 
     def _pnorm(self, X):
         """Norm of X - p for points; for segments a ternary search on the
@@ -482,17 +570,24 @@ class _SegmentSet:
 
     def _inside(self, P):
         x, y = P[0], P[1]
-        y1, y2, x1, dx, dy = self.crossing
-        xint = y - y1
-        crosses = (xint < 0.0) != (y2 > y)
-        xint *= dx
-        xint /= dy
-        xint += x1
-        hit = x < xint
-        hit &= crosses
+        y1, y2 = self.crossing
+        rise = y - y1
+        hit = (rise < 0.0) != (y2 > y)  # the edge crosses the horizontal line through P
+        nv = self.vertical_x1.shape[0]
+        hit[:nv] &= x < self.vertical_x1
+        if nv < hit.shape[0]:
+            x1, dx, dy = self.oblique
+            xint = rise[nv:]
+            xint *= dx
+            xint /= dy
+            xint += x1
+            hit[nv:] &= x < xint
         inside = None
-        for lo, hi in self.polygons:
+        for runs in self.polygons:
+            (lo, hi), *more = runs
             odd = np.logical_xor.reduce(hit[lo:hi], axis=0)
+            for lo, hi in more:
+                odd ^= np.logical_xor.reduce(hit[lo:hi], axis=0)
             inside = odd if inside is None else inside & odd
         return inside
 

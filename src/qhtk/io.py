@@ -73,16 +73,20 @@ PRESETS = {
 
 
 def _build_preset(name, params):
-    """The preset domain ``name`` with its integer parameters."""
+    """The preset domain ``name`` with its parameters, each a JSON integer."""
     build, _ = PRESETS[name]
     for key, p in inspect.signature(build).parameters.items():
         if key not in params and p.default is inspect.Parameter.empty:
             raise SchemaError([f"$.{key}: required by preset {name!r}"])
-    try:
-        ints = {k: int(v) for k, v in params.items()}
-    except (TypeError, ValueError):
-        raise SchemaError([f"$: preset {name!r} takes integer parameters, got {params!r}"]) from None
-    return build(**ints)
+    errors = []
+    for key, value in params.items():
+        try:
+            _integer(value, None)
+        except ValueError as e:
+            errors.append(f"$.{key}: {e}, got {value!r}")
+    if errors:
+        raise SchemaError(errors)
+    return build(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +277,11 @@ def resolve_domain(arg):
     if name in PRESETS:
         if suffix and "n" not in PRESETS[name][1]:
             raise SchemaError([f"$.domain: preset {name!r} takes no ':n' suffix, got {arg!r}"])
-        return _build_preset(name, {"n": param} if param else {})
+        try:
+            params = {"n": int(param)} if param else {}
+        except ValueError:
+            raise SchemaError([f"$.n: integer required, got {param!r}"]) from None
+        return _build_preset(name, params)
     raise SchemaError([f"$.domain: unknown preset or file {arg!r}"])
 
 

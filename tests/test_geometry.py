@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -34,7 +35,7 @@ from qhtk.geometry import (
     unit_ball,
 )
 from qhtk.cases import build_omega_n
-from qhtk.io import resolve_domain
+from qhtk.io import parse_domain_spec, resolve_domain
 
 SQRT3 = np.sqrt(3.0)
 
@@ -428,6 +429,90 @@ def test_oracle_bit_identical_on_reference_presets(name):
     assert np.array_equal(domain.depth_many(X), reference_depth(domain, X))
 
 
+# depth_many hashed on the points of ``_pin_points``, as the per-coordinate
+# (dim, K, block) segment kernel computed them before it was split into groups
+PINNED_DEPTH = {
+    "polygon-P": "c216f583afa1caec",
+    "omega-n:3": "b0c27ba1b2ab9721",
+    "omega-n:5": "41e683245ca6fa8f",
+    "punctured-plane": "e0367af3f419774b",
+    "punctured-space-3d": "fcc44db97b698498",
+    "@convex-hexagon": "dc50b7398d21b13a",
+    "@clockwise-notch": "78508f95b204f722",
+    "segment-axes-3d": "817672bd69f4ec29",
+    "two-notched-polygons": "d776b06643f25e85",
+    "underflow-only": "e0367af3f419774b",
+}
+SEGMENT_AXES_3D = DomainSpec(3, (BoxPrimitive((-2.0,) * 3, (2.0,) * 3),), (
+    RemovedSegment((0.1, 0.2, 0.3), (1.1, 0.2, 0.3)),
+    RemovedSegment((0.1, -0.2, 0.3), (0.1, 0.8, 0.3)),
+    RemovedSegment((-0.5, 0.2, -0.3), (-0.5, 0.2, 0.9)),
+    RemovedSegment((0.0, 0.0, 0.0), (0.5, 0.2, 0.9)),
+    RemovedSegment((0.0, -0.3, 0.3), (1e-160, -0.3, 0.3)),  # |b - a|^2 underflows
+    RemovedPoint((-1.0, 1.0, 0.5)),
+), name="segment-axes-3d")
+
+
+def _pinned_domain(name):
+    if name.startswith("@"):
+        return parse_domain_spec(FILE_SPECS[name[1:]])
+    if name == "punctured-space-3d":
+        return punctured_space(3)
+    if name == "segment-axes-3d":
+        return SEGMENT_AXES_3D
+    if name == "two-notched-polygons":  # each polygon has vertical and oblique edges
+        return DomainSpec(2, (
+            Polygon(((-2.0, -1.0), (-2.0, 1.5), (0.0, 0.2), (2.0, 1.5), (2.0, -1.0))),
+            Polygon(((-3.0, -3.0), (3.0, -3.0), (3.0, 3.0), (0.0, 0.5), (-3.0, 3.0))),
+        ), (RemovedSegment((0.5, -0.5), (0.5, 0.4)),))
+    if name == "underflow-only":  # no segment has a nonzero |b - a|^2
+        return DomainSpec(2, (), (RemovedSegment((0.0, 0.0), (1e-170, 0.0)),))
+    return resolve_domain(name)
+
+
+def _segments(domain):
+    for p in domain.primitives:
+        if isinstance(p, Polygon) and not p.convex:
+            V = np.asarray(p.vertices, dtype=float)
+            yield from zip(V, np.roll(V, -1, axis=0))
+    for r in domain.removals:
+        if isinstance(r, RemovedPoint):
+            yield np.asarray(r.point, dtype=float), np.asarray(r.point, dtype=float)
+        elif isinstance(r, RemovedSegment):
+            yield np.asarray(r.a, dtype=float), np.asarray(r.b, dtype=float)
+
+
+def _pin_points(domain):
+    """Seeded window points, points at t = 0, 1/4, 1/2, 1 on every segment,
+    and points with +0.0 and -0.0 coordinates."""
+    lo, hi = _window(domain)
+    rng = np.random.default_rng(19)
+    X = rng.uniform(lo, hi, size=(3000, domain.dimension))
+    on = [a + t * (b - a) for a, b in _segments(domain) for t in (0.0, 0.25, 0.5, 1.0)]
+    zeros = np.repeat(X[:64], 2, axis=0)
+    zeros[0::2, 0] = 0.0
+    zeros[1::2, 0] = -0.0
+    zeros[:32, 1:] = np.where(rng.random((32, domain.dimension - 1)) < 0.5, 0.0, -0.0)
+    return np.concatenate([X, np.asarray(on).reshape(-1, domain.dimension), zeros])
+
+
+def _depth_hash(name):
+    domain = _pinned_domain(name)
+    d = domain.depth_many(_pin_points(domain))
+    return hashlib.sha256(np.ascontiguousarray(d).tobytes()).hexdigest()[:16]
+
+
+def test_segment_axes_domain_covers_every_segment_form():
+    segs = next(k for k in SEGMENT_AXES_3D._kernels if isinstance(k, _SegmentSet))
+    rows = [hi - lo for group in segs.groups for lo, hi, _, _ in group[0]]
+    assert rows == [3, 1, 2]  # along x (with the point), along y, along z and oblique
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DEPTH))
+def test_segment_oracle_bits_are_pinned(name):
+    assert _depth_hash(name) == PINNED_DEPTH[name]
+
+
 def test_star_polygon_is_not_convex():
     star = [(np.cos(a), np.sin(a)) for a in 4 * np.pi / 5 * np.arange(5)]
     assert not Polygon(tuple(star)).convex
@@ -595,7 +680,7 @@ def test_resample_paths_keeps_the_bits_of_np_interp(case):
 def test_crossing_table_skips_horizontal_edges():
     V = np.array(prolongation_polygon().primitives[0].vertices, dtype=float)
     segs = _SegmentSet(V, np.roll(V, -1, axis=0), [len(V)], EUCLIDEAN)
-    assert segs.crossing[0].shape == (4, 1)  # the four vertical edges of eight
+    assert segs.vertical_x1.shape == (4, 1)  # the four vertical edges of eight
     rng = np.random.default_rng(4)
     X = rng.uniform(-5.0, 5.0, size=(4000, 2))
     X[:2000, 1] = rng.choice(np.unique(V[:, 1]), 2000)  # at a horizontal edge's height

@@ -302,7 +302,6 @@ MALFORMED = {
     "preset-unknown": ({"preset": "torus"}, "$.preset"),
     "preset-extra-field": ({"preset": "strip", "n": 3}, "$.n"),
     "preset-missing-n": ({"preset": "omega-n"}, "$.n"),
-    "preset-non-integer-n": ({"preset": "omega-n", "n": "x"}, "$"),
     "preset-dimension-on-strip": ({"preset": "strip", "dimension": 3}, "$.dimension"),
 }
 
@@ -321,6 +320,13 @@ NOW_REJECTED = {
     "primitives-not-a-list": ({"dimension": 2, "primitives": 5}, "$.primitives"),
     "axis-family-in-p-norm": (_doc(removals=[{"type": "axis-point-family"}],
                                    norm={"kind": "p", "p": 3}), "$.removals[0]"),
+    # preset parameters are JSON integers: no rounding, no strings, no booleans
+    "preset-non-integer-n": ({"preset": "omega-n", "n": "x"}, "$.n"),
+    "preset-float-n": ({"preset": "omega-n", "n": 3.7}, "$.n"),
+    "preset-float-dimension": ({"preset": "box", "dimension": 2.9}, "$.dimension"),
+    "preset-string-n": ({"preset": "omega-n", "n": "5"}, "$.n"),
+    "preset-boolean-n": ({"preset": "omega-n", "n": True}, "$.n"),
+    "preset-huge-float-n": ({"preset": "omega-n", "n": 1e30}, "$.n"),
 }
 
 
@@ -440,6 +446,15 @@ def test_cli_solver_flags_only_where_read(tmp_path):
     assert not out.exists()
 
 
+def test_cli_ball_default_window_holds_the_half_plane_ball(tmp_path):
+    # the half-plane ball reaches d(c)(e^r - 1) exactly, so the default
+    # window needs its margin for the contour to close
+    rc = dispatch(["ball", "--domain", "half-plane", "--center", "0,1", "--r", "1",
+                   "--out", str(tmp_path)])
+    assert rc == EXIT_PASS
+    assert len(json.load(open(tmp_path / "ball.json"))["loops"]) == 1
+
+
 def test_cli_verdict_fail_is_distinct_from_error(tmp_path, monkeypatch):
     # inject a failing verdict: prolongation with impossible tolerance via
     # a stubbed case (exit code 1, not 2)
@@ -504,9 +519,19 @@ def test_cli_manifest_records_effective_threads(tmp_path, monkeypatch):
     (["dist", "--domain", "unit-ball:3", "--from", "0,0,0", "--to", "0.5,0,0"], EXIT_ERROR),
     (["dist", "--domain", "half-plane:3", "--from", "0,1,0", "--to", "0,2,0"], EXIT_ERROR),
     (["dist", "--domain", "strip:7", "--from", "0,0", "--to", "1,0"], EXIT_ERROR),
+    # levels and resolutions are finite positive numbers, refused before any solve
+    (["ball", "--domain", "strip", "--center", "0,0", "--r", "nan"], EXIT_USAGE),
+    (["ball", "--domain", "strip", "--center", "0,0", "--r", "inf"], EXIT_USAGE),
+    (["ball", "--domain", "strip", "--center", "0,0", "--r", "0"], EXIT_USAGE),
+    (["ball", "--domain", "strip", "--center", "0,0", "--r", "1",
+      "--field-resolution", "0"], EXIT_USAGE),
+    (["ortho", "--r", "inf"], EXIT_USAGE),
+    (["cusp", "--domain", "strip", "--r", "-1"], EXIT_USAGE),
 ], ids=["from", "to-nan", "window", "center", "direction-zero", "tschedule", "z", "x",
         "radii", "taus", "omega-n-without-n", "omega-n-x", "missing-file", "smoothcheck-3d",
-        "box-suffix", "unit-ball-suffix", "half-plane-suffix", "strip-suffix"])
+        "box-suffix", "unit-ball-suffix", "half-plane-suffix", "strip-suffix",
+        "ball-r-nan", "ball-r-inf", "ball-r-zero", "ball-field-resolution-zero",
+        "ortho-r-inf", "cusp-r-negative"])
 def test_cli_malformed_values_exit_cleanly(argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # @missing.json resolves here
     out = tmp_path / "out"
