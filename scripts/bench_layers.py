@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the oracle, the descent kernels, the layers above them, the verdicts and start-up into BENCH_16.json.
+"""Time the oracle, the descent kernels, the layers above them, the verdicts, start-up and the qh commands into BENCH_16.json.
 
 For each preset, ``DomainSpec.depth_many`` (``depth_many`` of the star-like
 set) is timed on N = 49 points, the median point count of a single-path
@@ -74,9 +74,14 @@ runs.  ``qh dist`` on the half-plane loads numpy alone; on polygon-P the
 chord leaves the domain, so the command also pays for scipy's sparse
 graph modules and the lattice seed.
 
+``--cli`` adds the same two figures for each ``qh`` command of the
+README and for ``qh all-examples --fast``, fastest of ``CLI_REPEAT``
+runs, with the command's exit status.  Each command runs at its own
+defaults, so a tree whose defaults differ shows it here.
+
 Usage:
     PYTHONPATH=src python3 scripts/bench_layers.py [--label change]
-        [--out BENCH_16.json] [--repeat 7] [--verdicts] [--tier1] [--startup]
+        [--out BENCH_16.json] [--repeat 7] [--verdicts] [--tier1] [--startup] [--cli]
 """
 
 import argparse
@@ -111,6 +116,7 @@ SEGMENTS = (48, 9_600, 168_000)
 PATHS = ((1, 49), (600, 17))  # (paths, vertices per path)
 VERDICT_REPEAT = 3  # fresh interpreters per verdict; the fastest is kept
 STARTUP_REPEAT = 5  # fresh interpreters per start-up row; the fastest is kept
+CLI_REPEAT = 3  # fresh interpreters per qh command row; the fastest is kept
 QH = "from qhtk.cli import main; main()"  # what the qh script runs
 STARTUP = {  # row: interpreter arguments; qh commands get --out appended
     "import qhtk": ["-c", "import qhtk"],
@@ -120,6 +126,18 @@ STARTUP = {  # row: interpreter arguments; qh commands get --out appended
     "qh dist polygon-P": ["-c", QH, "dist", "--domain", "polygon-P", "--from", "-1.6,0.5",
                           "--to", "-0.6,1.6"],
 }
+CLI = [  # the README's qh commands, then the examples' fast pass
+    "dist --domain punctured-plane --from -1,0 --to 1,0",
+    "geodesic --domain half-plane --from -1,1 --to 1,1 --svg",
+    "ball --domain strip --center 0,0 --r 1 --svg",
+    "smoothcheck --domain strip --r 1",
+    "ortho --domain strip --direction 1,0 --r 1",
+    "cusp --domain strip --x 0,0 --direction 1,0 --r 1",
+    "renorm --domain box --what triangle --r 2 --samples 1000",
+    "example prolongation --t 0.5",
+    "all-examples",
+    "all-examples --fast",
+]
 GRID_PAIRS = {  # lattice seeds: the benchmark's polygon-P pair, omega-5's axis ends
     "polygon-P": (np.array([-1.6, 0.5]), np.array([-0.6, 1.6])),
     "omega-n:5": omega_endpoints(5),
@@ -271,35 +289,53 @@ STARTUP_PROBE = """
 import json, os, subprocess, sys
 proc = subprocess.Popen(json.loads(sys.argv[1]), stdout=subprocess.DEVNULL)
 _, status, usage = os.wait4(proc.pid, 0)
-print(json.dumps([status, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0]))
+print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_utime + usage.ru_stime,
+                  usage.ru_maxrss / 1024.0]))
 """
 
 
-def startup_costs():
-    """CPU seconds and peak RSS of each start-up row in a fresh interpreter,
-    fastest of ``STARTUP_REPEAT`` runs.
+def fresh_process_costs(rows, repeat, statuses=(0,)):
+    """CPU seconds and peak RSS of each row in a fresh interpreter, fastest
+    of ``repeat`` runs; ``rows`` maps a row name to interpreter arguments,
+    and qh commands get a scratch ``--out`` appended.
 
     A child's peak RSS counts the memory of the process it was forked
     from, so each row starts from a small probe interpreter, not from
-    this one.
+    this one.  A row whose exit status is not in ``statuses`` stops the
+    run; the status is kept next to the figures.
     """
     env = dict(os.environ, PYTHONPATH=str(Path(qhtk.__file__).resolve().parents[1]))
-    rows = {}
+    costs = {}
     with tempfile.TemporaryDirectory() as out:
-        for name, argv in STARTUP.items():
+        for name, argv in rows.items():
             cmd = [sys.executable] + argv + (["--out", out] if argv[1] == QH else [])
             runs = []
-            for _ in range(STARTUP_REPEAT):
+            for _ in range(repeat):
                 proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, json.dumps(cmd)],
                                       env=env, capture_output=True, text=True, check=True)
                 status, cpu, rss = json.loads(proc.stdout)
-                if status != 0:
-                    raise SystemExit(f"start-up row {name!r} exited with status {status}")
+                if status not in statuses:
+                    raise SystemExit(f"row {name!r} exited with status {status}")
                 runs.append((cpu, rss))
             cpu, rss = min(runs)
-            rows[name] = {"cpu_s": float(f"{cpu:.4g}"), "max_rss_mb": float(f"{rss:.4g}")}
-            print(name, rows[name])
-    return rows
+            costs[name] = {"cpu_s": float(f"{cpu:.4g}"), "max_rss_mb": float(f"{rss:.4g}"),
+                           "exit_status": status}
+            print(name, costs[name])
+    return costs
+
+
+def startup_costs():
+    """CPU seconds and peak RSS of each start-up row, fastest of
+    ``STARTUP_REPEAT`` fresh interpreters."""
+    return fresh_process_costs(STARTUP, STARTUP_REPEAT)
+
+
+def cli_costs():
+    """CPU seconds, peak RSS and exit status of each ``CLI`` command,
+    fastest of ``CLI_REPEAT`` fresh interpreters."""
+    rows = {f"qh {line}": ["-c", QH] + line.split() for line in CLI}
+    # a failed verdict (1) or a refused input (2) is a result worth timing
+    return fresh_process_costs(rows, CLI_REPEAT, statuses=(0, 1, 2))
 
 
 DURATION_LINE = re.compile(r"^([0-9.]+)s (setup|call|teardown)\s+(\S+)$")
@@ -354,6 +390,8 @@ def main():
                     help="add the Tier-1 per-test durations (runs the whole suite)")
     ap.add_argument("--startup", action="store_true",
                     help="add the CPU time and peak RSS of starting qhtk and qh dist")
+    ap.add_argument("--cli", action="store_true",
+                    help="add the CPU time and peak RSS of the README's qh commands")
     args = ap.parse_args()
     rng = np.random.default_rng(2)
     cases = []  # (preset, size, key, function, calls, divisor)
@@ -401,6 +439,8 @@ def main():
         run["tier1"] = tier1_durations()
     if args.startup:
         run["startup"] = startup_costs()
+    if args.cli:
+        run["cli"] = cli_costs()
     doc = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as f:

@@ -19,7 +19,6 @@ from .geometry import (
     StarlikeBody,
     half_plane,
     l2_section,
-    norm_eval,
     prolongation_polygon,
     punctured_space,
     starlike3d,

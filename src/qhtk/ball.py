@@ -356,13 +356,6 @@ class SmoothnessReport:
         """max over directions, per (probe, h)."""
         return self.ratios.max(axis=1)
 
-    def power_ratios(self, exponent):
-        """Second differences divided by h^exponent instead of h."""
-        sched = np.asarray(self.h_schedule)
-        dprobe = self.meta["probe_depths"]
-        habs = dprobe[:, None] * sched[None, :]
-        return self.ratios * habs[:, None, :] / habs[:, None, :] ** exponent
-
 
 RADIUS_SOLVER = SolverConfig(refinement=RefinementConfig(
     max_iterations=40, gradient_tol=2e-4, length_rel_tol=1e-9))

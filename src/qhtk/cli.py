@@ -1,22 +1,27 @@
 """Command-line interface: solves, ball extraction, geometry probes, verdicts.
 
-Every command writes a result document (JSON, optionally CSV/SVG) plus a
-run manifest into the output directory, and exits 0 on pass, 1 on a failed
-verdict, 2 on an execution error, 64 on usage errors.
+Each command computes a ``CommandResult``; ``run`` writes its result
+document (JSON, optionally CSV/SVG) plus a run manifest into the output
+directory, and exits 0 on pass, 1 on a failed verdict, 2 on an execution
+error, 64 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import re
+import math
 import os
+import re
 import sys
 import time
+from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
 from . import __version__, cases
 from .ball import (
+    ResolutionError,
+    _qh_arclength_point,
     _worker_count,
     ball_contour,
     contour_tangent_gaps,
@@ -26,19 +31,20 @@ from .ball import (
     orthogonality_ratio,
     smoothness_profile,
 )
-from .geometry import InvalidInputError, QHError
+from .geometry import InvalidInputError, Polyline, QHError
 from .io import (
     RunManifest,
     SchemaError,
     domain_to_doc,
     resolve_domain,
     spec_hash,
+    write_atomic,
     write_csv,
     write_json,
     write_manifest,
 )
 from .renorm import InducedNorm, hausdorff_convergence, modulus_estimate, triangle_check
-from .solver import RefinementConfig, SolverConfig, qh_distance
+from .solver import DEFAULT_SOLVER, RefinementConfig, SolverConfig, qh_distance
 from .svg import render_svg
 
 EXIT_PASS = 0
@@ -116,71 +122,72 @@ def _clipped_window(domain, center, reach):
     )
 
 
-def _emit(outdir, name, command, args_echo, config, seed, domain, outputs, t0):
-    manifest = RunManifest(
-        command=command,
-        args=args_echo,
-        config=config,
-        rng_seed=seed,
+@dataclass
+class CommandResult:
+    """What one command computed, for ``run`` to write and report."""
+
+    name: str  # file stem: <name>.json, <name>.svg and <name>-manifest.json
+    doc: dict  # the result document; ``run`` adds the resolved domain
+    summary: str  # printed on stdout
+    passed: bool = True
+    tables: dict = dfield(default_factory=dict)  # CSV file name -> (header, rows)
+    svg: str | None = None
+
+
+def run(args):
+    """Run the parsed command: resolve ``--domain``, write the result files
+    and the manifest of every parsed argument, and map the verdict to an
+    exit code."""
+    t0 = time.perf_counter()
+    domain = resolve_domain(args.domain) if "domain" in args else None
+    res = args.handler(args, domain)
+    doc = res.doc if domain is None else {"domain": domain_to_doc(domain), **res.doc}
+    outputs = [os.path.join(args.out, f"{res.name}.json")]
+    write_json(outputs[0], doc)
+    for fname, (header, rows) in res.tables.items():
+        outputs.append(os.path.join(args.out, fname))
+        write_csv(outputs[-1], header, rows)
+    if res.svg is not None:
+        outputs.append(os.path.join(args.out, f"{res.name}.svg"))
+        write_atomic(outputs[-1], res.svg)
+    print(res.summary)
+    write_manifest(os.path.join(args.out, f"{res.name}-manifest.json"), RunManifest(
+        command=args.command,
+        args={k: v for k, v in vars(args).items() if k != "handler"},
         version=__version__,
-        input_hash=spec_hash(domain) if domain is not None else "",
+        input_hash="" if domain is None else spec_hash(domain),
         outputs=sorted(outputs),
         wall_time_s=round(time.perf_counter() - t0, 3),
         threads=_worker_count(),
-    )
-    write_manifest(os.path.join(outdir, f"{name}-manifest.json"), manifest)
+    ))
+    return EXIT_PASS if res.passed else EXIT_FAIL
 
 
-def _result_paths(outdir, name):
-    os.makedirs(outdir, exist_ok=True)
-    return os.path.join(outdir, f"{name}.json")
-
-
-def cmd_dist(args, want_path):
-    t0 = time.perf_counter()
-    domain = resolve_domain(args.domain)
-    s = _solver_config(args)
-    res = qh_distance(domain, args.frm, args.to, s)
-    name = "geodesic" if want_path else "dist"
-    doc = {
-        "domain": domain_to_doc(domain),
+def cmd_dist(args, domain):
+    """``dist`` and ``geodesic``: one solve; ``geodesic`` also writes the path."""
+    res = qh_distance(domain, args.frm, args.to, _solver_config(args))
+    out = CommandResult(args.command, {
         "from": args.frm.tolist(),
         "to": args.to.tolist(),
         "qh_distance": res.qh_length,
         "lower_bound_gap": res.lower_bound_gap,
         "converged": res.converged,
         "iterations": res.iterations,
-    }
-    outputs = []
-    rpath = _result_paths(args.out, name)
-    write_json(rpath, doc)
-    outputs.append(rpath)
-    if want_path and res.path is not None:
-        cpath = os.path.join(args.out, f"{name}-path.csv")
-        dim = res.path.vertices.shape[1]
-        write_csv(cpath, [f"x{i+1}" for i in range(dim)], res.path.vertices.tolist())
-        outputs.append(cpath)
+    }, f"qh_distance = {res.qh_length:.12g}  (converged={res.converged})", res.converged)
+    if args.command == "geodesic" and res.path is not None:
+        V = res.path.vertices
+        dim = V.shape[1]
+        out.tables[f"{out.name}-path.csv"] = ([f"x{i+1}" for i in range(dim)], V.tolist())
         if args.svg and dim == 2:
-            V = res.path.vertices
             pad = 0.25 * max(float(np.ptp(V, axis=0).max()), 1.0)
             window = ((V[:, 0].min() - pad, V[:, 0].max() + pad),
                       (V[:, 1].min() - pad, V[:, 1].max() + pad))
-            spath = os.path.join(args.out, f"{name}.svg")
-            text = render_svg(domain, window, polylines=[res.path],
-                              labels=[f"k = {res.qh_length:.6f}"])
-            from .io import write_atomic
-            write_atomic(spath, text)
-            outputs.append(spath)
-    print(f"qh_distance = {res.qh_length:.12g}  (converged={res.converged})")
-    _emit(args.out, name, name, {"domain": args.domain, "from": args.frm, "to": args.to},
-          {"solver": s.__dict__ | {"refinement": s.refinement.__dict__}},
-          args.seed, domain, outputs, t0)
-    return EXIT_PASS if res.converged else EXIT_FAIL
+            out.svg = render_svg(domain, window, polylines=[res.path],
+                                 labels=[f"k = {res.qh_length:.6f}"])
+    return out
 
 
-def cmd_ball(args):
-    t0 = time.perf_counter()
-    domain = resolve_domain(args.domain)
+def cmd_ball(args, domain):
     center = args.center
     window = args.window
     if window is None:
@@ -191,138 +198,91 @@ def cmd_ball(args):
         window = _clipped_window(domain, center, reach)
     field = distance_field(domain, center, window, args.field_resolution)
     contour = ball_contour(field, args.r)
-    rpath = _result_paths(args.out, "ball")
-    doc = {
-        "domain": domain_to_doc(domain),
+    rows = [[li, v[0], v[1]] for li, L in enumerate(contour.loops) for v in L]
+    svg = None
+    if args.svg:
+        svg = render_svg(domain, window, contours=[contour], points=[center],
+                         labels=[f"r = {args.r}"])
+    return CommandResult("ball", {
         "center": center.tolist(),
         "r": args.r,
         "grid_h": field.h,
         "loops": [L.tolist() for L in contour.loops],
         "max_tangent_gap": float(contour_tangent_gaps(contour).max()),
-    }
-    write_json(rpath, doc)
-    outputs = [rpath]
-    cpath = os.path.join(args.out, "ball-contour.csv")
-    rows = []
-    for li, L in enumerate(contour.loops):
-        rows += [[li, v[0], v[1]] for v in L]
-    write_csv(cpath, ["loop", "x1", "x2"], rows)
-    outputs.append(cpath)
-    if args.svg:
-        spath = os.path.join(args.out, "ball.svg")
-        from .io import write_atomic
-        write_atomic(spath, render_svg(domain, window, contours=[contour],
-                                       points=[center],
-                                       labels=[f"r = {args.r}"]))
-        outputs.append(spath)
-    print(f"contour loops: {len(contour.loops)}  grid h = {field.h:.4g}")
-    _emit(args.out, "ball", "ball",
-          {"domain": args.domain, "center": args.center, "r": args.r},
-          {"field_resolution": args.field_resolution}, args.seed, domain, outputs, t0)
-    return EXIT_PASS
+    }, f"contour loops: {len(contour.loops)}  grid h = {field.h:.4g}",
+        tables={"ball-contour.csv": (["loop", "x1", "x2"], rows)}, svg=svg)
 
 
-def cmd_smoothcheck(args):
-    t0 = time.perf_counter()
-    domain = resolve_domain(args.domain)
-    center = args.center
-    rep = smoothness_profile(domain, center, args.r, probes=args.probes)
+def cmd_smoothcheck(args, domain):
+    rep = smoothness_profile(domain, args.center, args.r, probes=args.probes)
     pp = rep.per_probe()
     ratio = pp[:, -1] / pp[:, 0]
     decreasing = bool((np.diff(pp, axis=1) < 0).all())
     passed = decreasing and bool((ratio < args.threshold).all())
-    rpath = _result_paths(args.out, "smoothcheck")
-    write_json(rpath, {
-        "domain": domain_to_doc(domain), "center": center.tolist(), "r": args.r,
+    rows = [[i, h, pp[i, j]] for i in range(pp.shape[0]) for j, h in enumerate(rep.h_schedule)]
+    return CommandResult("smoothcheck", {
+        "center": args.center.tolist(), "r": args.r,
         "h_schedule": list(rep.h_schedule),
         "probes": rep.probes.tolist(),
         "per_probe_ratios": pp.tolist(),
         "final_over_initial": ratio.tolist(),
         "decreasing": decreasing,
         "passed": passed,
-    })
-    cpath = os.path.join(args.out, "smoothcheck.csv")
-    rows = []
-    for i in range(pp.shape[0]):
-        for j, h in enumerate(rep.h_schedule):
-            rows.append([i, h, pp[i, j]])
-    write_csv(cpath, ["probe", "h_fraction", "ratio"], rows)
-    print(f"smoothness: decreasing={decreasing} max final/initial={ratio.max():.4f}")
-    _emit(args.out, "smoothcheck", "smoothcheck",
-          {"domain": args.domain, "center": args.center, "r": args.r},
-          {"probes": args.probes, "threshold": args.threshold},
-          args.seed, domain, [rpath, cpath], t0)
-    return EXIT_PASS if passed else EXIT_FAIL
+    }, f"smoothness: decreasing={decreasing} max final/initial={ratio.max():.4f}", passed,
+        tables={"smoothcheck.csv": (["probe", "h_fraction", "ratio"], rows)})
 
 
-def cmd_ortho(args):
-    t0 = time.perf_counter()
-    domain = resolve_domain(args.domain)
+def cmd_ortho(args, domain):
     center = args.center
     u = args.direction / np.linalg.norm(args.direction)
     rad = directional_radii(domain, center, u[None, :], args.r)[0]
     x = center + rad * u
     res = qh_distance(domain, center, x)
+    # orthogonality_ratio's contour certificate, checked before the field is solved
+    h = 1.0 / args.field_resolution
+    min_sep = min(float(np.linalg.norm(_qh_arclength_point(domain, res.path, t) - x))
+                  for t in args.tschedule)
+    if h > min_sep / 10.0 + 1e-12:
+        raise ResolutionError(
+            f"contour spacing {h} too coarse for separation {min_sep}: "
+            f"--field-resolution {math.ceil(1.0 / (min_sep / 10.0 + 1e-12))} would pass")
     reach = domain.boundary_distance(center) * float(np.expm1(args.r)) * 1.05
     window = _clipped_window(domain, center, reach)
     field = distance_field(domain, center, window, args.field_resolution)
     contour = ball_contour(field, args.r)
-    tsched = args.tschedule
-    ratios = orthogonality_ratio(domain, x, tsched, contour, geodesic=res.path)
+    ratios = orthogonality_ratio(domain, x, args.tschedule, contour, geodesic=res.path)
     passed = bool((np.abs(ratios[-2:] - 1.0) <= 0.05).all())
-    rpath = _result_paths(args.out, "ortho")
-    write_json(rpath, {
-        "domain": domain_to_doc(domain), "center": center.tolist(),
-        "direction": u.tolist(), "r": args.r,
-        "t_schedule": tsched, "ratios": ratios.tolist(), "passed": passed,
-    })
-    print("orthogonality ratios:", np.round(ratios, 4).tolist())
-    _emit(args.out, "ortho", "ortho",
-          {"domain": args.domain, "direction": args.direction, "r": args.r},
-          {"field_resolution": args.field_resolution, "t_schedule": tsched},
-          args.seed, domain, [rpath], t0)
-    return EXIT_PASS if passed else EXIT_FAIL
+    return CommandResult("ortho", {
+        "center": center.tolist(), "direction": u.tolist(), "r": args.r,
+        "t_schedule": args.tschedule, "ratios": ratios.tolist(), "passed": passed,
+    }, f"orthogonality ratios: {np.round(ratios, 4).tolist()}", passed)
 
 
-def cmd_cusp(args):
-    t0 = time.perf_counter()
-    domain = resolve_domain(args.domain)
+def cmd_cusp(args, domain):
     x = args.x
     u = args.direction / np.linalg.norm(args.direction)
     rad = directional_radii(domain, x, u[None, :], args.r)[0]
     y = x + rad * u
-    zs = args.z
-    report = cusp_free_check(domain, x, args.r, y, z_schedule=zs,
+    report = cusp_free_check(domain, x, args.r, y, z_schedule=args.z,
                              samples=args.samples, rng_seed=args.seed)
     viol = sum(e["violations"] for e in report)
-    rpath = _result_paths(args.out, "cusp")
-    write_json(rpath, {
-        "domain": domain_to_doc(domain), "x": x.tolist(), "y": y.tolist(),
-        "r": args.r, "report": report, "violations": viol,
-    })
-    print(f"cusp check: {viol} violations over {sum(e['samples'] for e in report)} samples")
-    _emit(args.out, "cusp", "cusp",
-          {"domain": args.domain, "x": args.x, "r": args.r},
-          {"z": zs, "samples": args.samples}, args.seed, domain, [rpath], t0)
-    return EXIT_PASS if viol == 0 else EXIT_FAIL
+    return CommandResult("cusp", {
+        "x": x.tolist(), "y": y.tolist(), "r": args.r, "report": report, "violations": viol,
+    }, f"cusp check: {viol} violations over {sum(e['samples'] for e in report)} samples",
+        viol == 0)
 
 
-def cmd_renorm(args):
-    t0 = time.perf_counter()
-    domain = resolve_domain(args.domain)
-    outputs = []
-    passed = True
-    doc = {"domain": domain_to_doc(domain), "what": args.what}
+def cmd_renorm(args, domain):
+    out = CommandResult("renorm", {"what": args.what}, "")
+    doc = out.doc
     if args.what == "hausdorff":
-        radii = args.radii
-        series = hausdorff_convergence(domain, radii, directions=args.directions)
-        doc["radii"] = radii
+        series = hausdorff_convergence(domain, args.radii, directions=args.directions)
+        doc["radii"] = args.radii
         doc["d_H"] = series.tolist()
-        passed = bool((np.diff(series) < 0).all())
-        cpath = os.path.join(args.out, "renorm-hausdorff.csv")
-        write_csv(cpath, ["r", "d_H"], list(zip(radii, series.tolist())))
-        outputs.append(cpath)
-        print("d_H series:", np.round(series, 6).tolist())
+        out.passed = bool((np.diff(series) < 0).all())
+        out.tables["renorm-hausdorff.csv"] = (["r", "d_H"],
+                                              list(zip(args.radii, series.tolist())))
+        out.summary = f"d_H series: {np.round(series, 6).tolist()}"
     else:
         norm = InducedNorm(domain, args.r, rng_seed=args.seed)
         if args.what == "minkowski":
@@ -331,35 +291,26 @@ def cmd_renorm(args):
             M = norm.eval_many(X)
             doc["points"] = X.tolist()
             doc["M"] = M.tolist()
-            cpath = os.path.join(args.out, "renorm-minkowski.csv")
-            write_csv(cpath, ["x1", "x2", "M"],
-                      [[x[0], x[1], m] for x, m in zip(X, M)])
-            outputs.append(cpath)
-            print(f"M evaluated on {len(X)} directions")
+            out.tables["renorm-minkowski.csv"] = (["x1", "x2", "M"],
+                                                  [[x[0], x[1], m] for x, m in zip(X, M)])
+            out.summary = f"M evaluated on {len(X)} directions"
         elif args.what == "triangle":
             viol = triangle_check(norm, samples=args.samples, rng_seed=args.seed)
             doc["violations"] = viol
             doc["samples"] = args.samples
-            passed = len(viol) == 0
-            print(f"triangle check: {len(viol)} violations / {args.samples} pairs")
+            out.passed = len(viol) == 0
+            out.summary = f"triangle check: {len(viol)} violations / {args.samples} pairs"
         elif args.what == "modulus":
             est = modulus_estimate(norm, args.kind, args.taus,
                                    sample_budget=args.samples, rng_seed=args.seed)
             doc["kind"] = est.kind
             doc["taus"] = est.taus.tolist()
             doc["values"] = est.values.tolist()
-            cpath = os.path.join(args.out, "renorm-modulus.csv")
-            write_csv(cpath, ["tau", est.kind], list(zip(est.taus, est.values)))
-            outputs.append(cpath)
-            print(f"{est.kind} modulus:", np.round(est.values, 6).tolist())
-    rpath = _result_paths(args.out, "renorm")
-    doc["passed"] = passed
-    write_json(rpath, doc)
-    outputs.append(rpath)
-    _emit(args.out, "renorm", "renorm",
-          {"domain": args.domain, "what": args.what},
-          {"r": args.r, "samples": args.samples}, args.seed, domain, outputs, t0)
-    return EXIT_PASS if passed else EXIT_FAIL
+            out.tables["renorm-modulus.csv"] = (["tau", est.kind],
+                                                list(zip(est.taus, est.values)))
+            out.summary = f"{est.kind} modulus: {np.round(est.values, 6).tolist()}"
+    doc["passed"] = out.passed
+    return out
 
 
 def _verdict_for(args):
@@ -377,55 +328,35 @@ def _verdict_for(args):
     raise SchemaError([f"$.example: unknown id {ex!r}"])
 
 
-def cmd_example(args):
-    t0 = time.perf_counter()
+def cmd_example(args, domain):
     verdict = _verdict_for(args)
-    rpath = _result_paths(args.out, f"example-{verdict.example_id}")
-    write_json(rpath, {
+    svg = None
+    if args.svg and args.id == "intersections" and "gamma1" in verdict.artifacts:
+        V1 = np.asarray(verdict.artifacts["gamma1"])
+        V2 = np.asarray(verdict.artifacts["gamma2"])
+        window = ((-1.05, V1[:, 0].max() + 0.55), (-1.05, 1.05))
+        svg = render_svg(cases.build_omega_n(args.n), window,
+                         polylines=[Polyline(V1), Polyline(V2)], labels=[verdict.summary()])
+    return CommandResult(f"example-{verdict.example_id}", {
         "example_id": verdict.example_id,
         "claim": verdict.claim,
         "measured": verdict.measured,
         "tolerances": verdict.tolerances,
         "passed": verdict.passed,
-    })
-    outputs = [rpath]
-    if args.svg and "gamma1" in verdict.artifacts:
-        from .geometry import Polyline
-        from .io import write_atomic
-        dom = cases.build_omega_n(args.n) if args.id == "intersections" else None
-        if dom is not None:
-            V1 = np.asarray(verdict.artifacts["gamma1"])
-            V2 = np.asarray(verdict.artifacts["gamma2"])
-            window = ((-1.05, V1[:, 0].max() + 0.55), (-1.05, 1.05))
-            spath = os.path.join(args.out, f"example-{verdict.example_id}.svg")
-            write_atomic(spath, render_svg(
-                dom, window, polylines=[Polyline(V1), Polyline(V2)],
-                labels=[verdict.summary()]))
-            outputs.append(spath)
-    print(verdict.summary())
-    _emit(args.out, f"example-{verdict.example_id}", "example",
-          {"id": args.id, "n": getattr(args, "n", None), "t": getattr(args, "t", None)},
-          {}, args.seed, None, outputs, t0)
-    return EXIT_PASS if verdict.passed else EXIT_FAIL
+    }, verdict.summary(), verdict.passed, svg=svg)
 
 
-def cmd_all_examples(args):
-    t0 = time.perf_counter()
+def cmd_all_examples(args, domain):
     verdicts = cases.all_verdicts(fast=args.fast)
-    rpath = _result_paths(args.out, "all-examples")
-    write_json(rpath, {
+    passed = all(v.passed for v in verdicts)
+    return CommandResult("all-examples", {
         "verdicts": [
             {"example_id": v.example_id, "claim": v.claim,
              "measured": v.measured, "passed": v.passed}
             for v in verdicts
         ],
-        "all_passed": all(v.passed for v in verdicts),
-    })
-    for v in verdicts:
-        print(v.summary())
-    _emit(args.out, "all-examples", "all-examples", {"fast": args.fast}, {},
-          args.seed, None, [rpath], t0)
-    return EXIT_PASS if all(v.passed for v in verdicts) else EXIT_FAIL
+        "all_passed": passed,
+    }, "\n".join(v.summary() for v in verdicts), passed)
 
 
 def build_parser():
@@ -433,9 +364,10 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, handler):
         sp.add_argument("--out", default="qh-out")
         sp.add_argument("--seed", type=int, default=0)
+        sp.set_defaults(handler=handler)
 
     for name in ("dist", "geodesic"):
         sp = sub.add_parser(name)
@@ -444,11 +376,13 @@ def build_parser():
         sp.add_argument("--to", type=_numbers, required=True)
         sp.add_argument("--svg", action="store_true")
         # only these two commands hand solver settings to the solver
-        sp.add_argument("--resolution", type=float, default=32.0)
-        sp.add_argument("--budget", type=int, default=49)
-        sp.add_argument("--max-iterations", type=int, default=200)
-        sp.add_argument("--gradient-tol", type=float, default=1e-4)
-        common(sp)
+        sp.add_argument("--resolution", type=float, default=DEFAULT_SOLVER.grid_resolution)
+        sp.add_argument("--budget", type=int, default=DEFAULT_SOLVER.vertex_budget)
+        sp.add_argument("--max-iterations", type=int,
+                        default=DEFAULT_SOLVER.refinement.max_iterations)
+        sp.add_argument("--gradient-tol", type=float,
+                        default=DEFAULT_SOLVER.refinement.gradient_tol)
+        common(sp, cmd_dist)
 
     sp = sub.add_parser("ball")
     sp.add_argument("--domain", required=True)
@@ -457,7 +391,7 @@ def build_parser():
     sp.add_argument("--window", type=_window)
     sp.add_argument("--field-resolution", type=_positive, default=24.0)
     sp.add_argument("--svg", action="store_true")
-    common(sp)
+    common(sp, cmd_ball)
 
     sp = sub.add_parser("smoothcheck")
     sp.add_argument("--domain", default="strip")
@@ -465,7 +399,7 @@ def build_parser():
     sp.add_argument("--r", type=_positive, default=1.0)
     sp.add_argument("--probes", type=int, default=8)
     sp.add_argument("--threshold", type=float, default=0.1)
-    common(sp)
+    common(sp, cmd_smoothcheck)
 
     sp = sub.add_parser("ortho")
     sp.add_argument("--domain", default="strip")
@@ -474,7 +408,7 @@ def build_parser():
     sp.add_argument("--r", type=_positive, default=1.0)
     sp.add_argument("--tschedule", type=_numbers, default="0.5,0.65,0.8,0.9")
     sp.add_argument("--field-resolution", type=_positive, default=40.0)
-    common(sp)
+    common(sp, cmd_ortho)
 
     sp = sub.add_parser("cusp")
     sp.add_argument("--domain", default="strip")
@@ -483,7 +417,7 @@ def build_parser():
     sp.add_argument("--r", type=_positive, default=1.0)
     sp.add_argument("--z", type=_numbers, default="0.3,0.5,0.7")
     sp.add_argument("--samples", type=int, default=40)
-    common(sp)
+    common(sp, cmd_cusp)
 
     sp = sub.add_parser("renorm")
     sp.add_argument("--domain", default="box")
@@ -496,7 +430,7 @@ def build_parser():
     sp.add_argument("--scale", type=float, default=1.0)
     sp.add_argument("--taus", type=_numbers, default="0.4,0.6,0.8,1.0")
     sp.add_argument("--kind", choices=("convexity", "smoothness"), default="convexity")
-    common(sp)
+    common(sp, cmd_renorm)
 
     sp = sub.add_parser("example")
     sp.add_argument("id", choices=("prolongation", "intersections", "sign-geodesics",
@@ -505,11 +439,11 @@ def build_parser():
     sp.add_argument("--t", type=float, default=0.5)
     sp.add_argument("--nmax", type=int, default=12)
     sp.add_argument("--svg", action="store_true")
-    common(sp)
+    common(sp, cmd_example)
 
     sp = sub.add_parser("all-examples")
     sp.add_argument("--fast", action="store_true")
-    common(sp)
+    common(sp, cmd_all_examples)
     return p
 
 
@@ -524,13 +458,8 @@ def dispatch(argv):
     except InvalidInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    commands = {"ball": cmd_ball, "smoothcheck": cmd_smoothcheck, "ortho": cmd_ortho,
-                "cusp": cmd_cusp, "renorm": cmd_renorm, "example": cmd_example,
-                "all-examples": cmd_all_examples}
     try:
-        if args.command in ("dist", "geodesic"):
-            return cmd_dist(args, want_path=args.command == "geodesic")
-        return commands[args.command](args)
+        return run(args)
     except (QHError, SchemaError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

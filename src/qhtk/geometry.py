@@ -146,19 +146,6 @@ class NormSpec:
 EUCLIDEAN = NormSpec()
 
 
-def norm_eval(norm: NormSpec, v):
-    """Evaluate ``norm`` on the vector v (scalar result).
-
-    Raises on non-finite input; returns 0 iff v = 0.
-    """
-    a = np.asarray(v, dtype=float)
-    if a.ndim != 1 or a.size < 1:
-        raise InvalidInputError("norm_eval expects a single vector")
-    if not np.isfinite(a).all():
-        raise InvalidInputError("non-finite vector")
-    return float(norm.eval(a))
-
-
 # ---------------------------------------------------------------------------
 # primitives (intersected to form the open set)
 # ---------------------------------------------------------------------------
@@ -798,10 +785,6 @@ class Polyline:
     @property
     def dimension(self):
         return self.vertices.shape[1]
-
-    def euclid_length(self):
-        seg = np.diff(self.vertices, axis=0)
-        return float(np.sqrt(np.sum(seg * seg, axis=1)).sum())
 
     def reversed(self):
         return Polyline(self.vertices[::-1].copy())

@@ -346,31 +346,23 @@ def spec_hash(domain):
 
 @dataclass
 class RunManifest:
-    """Enough to reproduce a command's outputs bit for bit (wall time aside)."""
+    """Enough to reproduce a command's outputs bit for bit (wall time aside).
+
+    ``args`` holds every parsed argument of the command with its defaults
+    applied, the output directory and ``--seed`` included; ``input_hash``
+    is the ``spec_hash`` of the resolved domain ("" for commands without
+    one); ``outputs`` lists the files written; ``threads`` is the worker
+    count that ran.
+    """
 
     command: str
     args: dict
-    config: dict
-    rng_seed: int
     version: str
     input_hash: str
     outputs: list
     wall_time_s: float = 0.0
     threads: int = 1
 
-    def to_doc(self):
-        return {
-            "command": self.command,
-            "args": _canonical(self.args),
-            "config": _canonical(self.config),
-            "rng_seed": self.rng_seed,
-            "version": self.version,
-            "input_hash": self.input_hash,
-            "outputs": list(self.outputs),
-            "wall_time_s": self.wall_time_s,
-            "threads": self.threads,
-        }
-
 
 def write_manifest(path, manifest: RunManifest):
-    write_json(path, manifest.to_doc())
+    write_json(path, dataclasses.asdict(manifest))

@@ -205,14 +205,6 @@ class InducedNorm:
         return float(self.eval_many(np.asarray(x, dtype=float)[None, :])[0])
 
 
-def minkowski_eval(norm: InducedNorm, x):
-    """Gauge value of x; 0 iff x = 0."""
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise InvalidInputError("non-finite input")
-    return norm.eval(x)
-
-
 def triangle_check(norm: InducedNorm, samples=1000, rng_seed=0):
     """Sampled triangle inequality M(x+y) <= M(x) + M(y) + 3 eval_tol.
 

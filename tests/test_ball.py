@@ -171,12 +171,6 @@ def test_smoothness_profile_halfplane_oracle():
     assert rep1.ratios.shape == (4, 4, 1)
 
 
-def test_smoothness_power_type_trend():
-    rep = smoothness_profile(HP, [0.0, 1.0], 1.0, probes=6, k_eval=hp_oracle([0.0, 1.0]))
-    pr = rep.power_ratios(1.4).max(axis=1)
-    assert (pr[:, -1] < pr[:, 0]).all()
-
-
 def test_probe_rejection():
     with pytest.raises(ProbeRejectedError):
         smoothness_profile(HP, [0.0, 1.0], 1.0,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qhtk
-from qhtk.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, dispatch
+from qhtk.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, build_parser, dispatch
 from qhtk.geometry import (
     AxisPointFamily,
     BallPrimitive,
@@ -453,6 +453,77 @@ def test_cli_ball_default_window_holds_the_half_plane_ball(tmp_path):
                    "--out", str(tmp_path)])
     assert rc == EXIT_PASS
     assert len(json.load(open(tmp_path / "ball.json"))["loops"]) == 1
+
+
+def test_cli_dist_solves_at_the_library_defaults(tmp_path):
+    rc = dispatch(["dist", "--domain", "half-plane", "--from", "-1,0.2", "--to", "1,0.3",
+                   "--out", str(tmp_path)])
+    assert rc == EXIT_PASS
+    want = qhtk.qh_distance(qhtk.half_plane(), [-1.0, 0.2], [1.0, 0.3])
+    doc = json.load(open(tmp_path / "dist.json"))
+    assert doc["qh_distance"] == want.qh_length
+    assert doc["iterations"] == want.iterations
+
+
+def test_cli_ortho_refuses_a_coarse_field_before_solving_it(tmp_path, monkeypatch, capsys):
+    def unreachable(*a, **kw):
+        raise AssertionError("distance_field ran")
+
+    monkeypatch.setattr("qhtk.cli.distance_field", unreachable)
+    out = tmp_path / "out"
+    rc = dispatch(["ortho", "--domain", "half-plane", "--center", "0,1", "--r", "0.5",
+                   "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_ERROR
+    assert "internal error" not in err
+    m = re.search(r"contour spacing 0.025 too coarse for separation ([0-9.e-]+): "
+                  r"--field-resolution (\d+) would pass", err)
+    assert m, err
+    # the named resolution is the least that passes the certificate
+    need = int(m.group(2))
+    assert 1.0 / need <= float(m.group(1)) / 10.0 + 1e-12 < 1.0 / (need - 1)
+    assert not out.exists()
+
+
+# one run of each command that no other test runs, with the files it writes
+# and the flags its manifest must echo
+RUNNER_CASES = {
+    "ball-window": (["ball", "--domain", "strip", "--center", "0,0", "--r", "0.8",
+                     "--window", "-1.1,1.1,-0.7,0.7", "--field-resolution", "14"], EXIT_PASS,
+                    {"ball.json", "ball-contour.csv"},
+                    {"window": [[-1.1, 1.1], [-0.7, 0.7]], "field_resolution": 14.0}),
+    "cusp-direction": (["cusp", "--samples", "8", "--z", "0.5", "--direction", "0,1"],
+                       EXIT_PASS, {"cusp.json"}, {"direction": [0.0, 1.0], "z": [0.5]}),
+    "ortho-center": (["ortho", "--center", "0,0", "--field-resolution", "20",
+                      "--tschedule", "0.3,0.5"], EXIT_FAIL, {"ortho.json"},
+                     {"center": [0.0, 0.0], "tschedule": [0.3, 0.5]}),
+    "smoothcheck": (["smoothcheck", "--probes", "2"], EXIT_PASS,
+                    {"smoothcheck.json", "smoothcheck.csv"}, {"probes": 2, "threshold": 0.1}),
+    "renorm-hausdorff": (["renorm", "--what", "hausdorff", "--radii", "1,2",
+                          "--directions", "16"], EXIT_PASS,
+                         {"renorm.json", "renorm-hausdorff.csv"}, {"radii": [1.0, 2.0]}),
+    "renorm-minkowski": (["renorm", "--what", "minkowski", "--directions", "8"], EXIT_PASS,
+                         {"renorm.json", "renorm-minkowski.csv"}, {"scale": 1.0, "r": 2.0}),
+    "all-examples-fast": (["all-examples", "--fast"], EXIT_PASS, {"all-examples.json"},
+                          {"fast": True}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(RUNNER_CASES))
+def test_cli_runner_writes_results_and_every_argument(key, tmp_path):
+    argv, code, results, echoed = RUNNER_CASES[key]
+    argv = argv + ["--out", str(tmp_path)]
+    assert dispatch(argv) == code
+    written = {f.name for f in tmp_path.iterdir()}
+    (manifest_name,) = {f for f in written if f.endswith("-manifest.json")}
+    assert written - {manifest_name} == results
+    manifest = json.load(open(tmp_path / manifest_name))
+    assert manifest["outputs"] == sorted(str(tmp_path / f) for f in results)
+    namespace = vars(build_parser().parse_args(argv))
+    del namespace["handler"]
+    assert manifest["args"] == json.loads(dumps_json(namespace))
+    assert echoed.items() <= manifest["args"].items()
+    assert manifest["command"] == argv[0]
 
 
 def test_cli_verdict_fail_is_distinct_from_error(tmp_path, monkeypatch):

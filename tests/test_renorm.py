@@ -10,7 +10,6 @@ from qhtk.renorm import (
     InducedNorm,
     PeriodicCubicSpline,
     hausdorff_convergence,
-    minkowski_eval,
     modulus_estimate,
     triangle_check,
 )
@@ -36,7 +35,7 @@ def test_unit_ball_norm_formula(ball_norm):
 
 
 def test_minkowski_zero(ball_norm):
-    assert minkowski_eval(ball_norm, np.zeros(2)) == 0.0
+    assert ball_norm.eval(np.zeros(2)) == 0.0
 
 
 def test_homogeneity(ball_norm):
